@@ -1,13 +1,6 @@
-"""Hot kernels: tick accumulation and the small dense eigensolve.
+"""Hot kernels: tick accumulation and the shift-matrix recurrences.
 
-Two interchangeable lanes. The default compiles per-tick loops with numba
-(cached to disk, so the compile cost is paid once per machine). Setting
-PSIMA_NO_NUMBA=1, or running where numba is unavailable, selects a
-vectorized pure-numpy lane instead. Both produce the same numbers to
-roundoff; benchmarks/bench_kernels.py measures the gap.
-
-Layout contract shared by both lanes: moment state is a (5, M) array whose
-rows are the window moments
+Moment state is a (5, M) array whose rows are the window moments
 
     0: <Q_m 1>      against omega * dt      (time measure)
     1: <Q_m I>      against omega * dV      (volume)
@@ -18,50 +11,26 @@ rows are the window moments
 with M = 2n-1 polynomial orders. Ticks older than ~36.8 tau carry
 omega < 1e-16 and are skipped.
 
-The stacked kernels (shift_matrices, symmetric_eigh_np on a stack) work
-on one matrix per sample along the leading axis, so a whole block of
-samples costs one call; they run on the numpy lane's code under either
-lane.
+shift_matrices works on one matrix per gap along the leading axis, so a
+whole block of samples costs one call; shift_matrix builds a single one
+and is the bit-for-bit reference for the stack.
 """
 
 from __future__ import annotations
-
-import logging
-import os
 
 import numpy as np
 
 from .basis import BasisId, evaluate_all
 
-log = logging.getLogger("psima")
-
 PRUNE_OMEGA = 1e-16
 
-BASIS_CODE = {
-    BasisId.LAGUERRE: 0,
-    BasisId.SHIFTED_LEGENDRE: 1,
-    BasisId.CHEBYSHEV: 2,
-}
 
-_want_numba = os.environ.get("PSIMA_NO_NUMBA", "") not in ("1", "true", "yes")
-_numba_ok = False
-if _want_numba:
-    try:
-        import numba
-        _numba_ok = True
-    except ImportError:  # pragma: no cover - environment without numba
-        log.info("numba unavailable, using the numpy lane")
+def accumulate_block(t, p, dV, i0, i1, t_prev0, t_now, tau, basis, out):
+    """Add ticks i0..i1-1, weighted at reference time t_now, to ``out``.
 
-
-def lane_name() -> str:
-    return "numba" if _numba_ok else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy lane
-# ---------------------------------------------------------------------------
-
-def _accumulate_np(t, p, dV, i0, i1, t_prev0, t_now, tau, basis_code, out):
+    ``t_prev0`` is the time of the tick before i0, which sets the first
+    tick's dt. Ticks past the prune horizon add nothing.
+    """
     if i1 <= i0:
         return
     tt = t[i0:i1]
@@ -78,13 +47,8 @@ def _accumulate_np(t, p, dV, i0, i1, t_prev0, t_now, tau, basis_code, out):
     wk = w[keep]
     pk = p[i0:i1][keep]
     dVk = dV[i0:i1][keep]
-    M = out.shape[1]
-    if basis_code == 0:
-        Q = evaluate_all(BasisId.LAGUERRE, M, -agek / tau)
-    elif basis_code == 1:
-        Q = evaluate_all(BasisId.SHIFTED_LEGENDRE, M, wk)
-    else:
-        Q = evaluate_all(BasisId.CHEBYSHEV, M, wk)
+    x = -agek / tau if basis is BasisId.LAGUERRE else wk
+    Q = evaluate_all(basis, out.shape[1], x)
     wdV = wk * dVk
     out[0] += Q @ (wk * dt[keep])
     out[1] += Q @ wdV
@@ -104,12 +68,7 @@ def arrival_rows(dt, p, dV):
     return np.stack([dt, dV, p * dV, 0.0 * dV, p * p * dV])
 
 
-def _symmetric_eigh_np(S):
-    # on a stack, eigh solves each matrix exactly as a single call would
-    return np.linalg.eigh(S)
-
-
-def _shift_matrix_np(basis_code, d, orders):
+def shift_matrix(basis, d, orders):
     """G with Q_m(x') = sum_i G[m,i] Q_i(x) after the window ages by d*tau.
 
     Laguerre shifts its linear argument, y -> y + d; the exponential bases
@@ -126,7 +85,7 @@ def _shift_matrix_np(basis_code, d, orders):
     gp = [0.0] * orders
     gp[0] = 1.0
     gm = [0.0] * orders
-    if basis_code == 0:
+    if basis is BasisId.LAGUERRE:
         gm[0] = -d
         gm[1] = 1.0
         G[1, 0] = gm[0]
@@ -146,6 +105,7 @@ def _shift_matrix_np(basis_code, d, orders):
             gp = gm
             gm = row
         return G
+    legendre = basis is BasisId.SHIFTED_LEGENDRE
     s = float(np.exp(-d))
     sm1 = s - 1.0
     gm[0] = sm1
@@ -156,7 +116,7 @@ def _shift_matrix_np(basis_code, d, orders):
     lo = [0.0] * orders
     hi = [0.0] * orders
     for j in range(orders):
-        if basis_code == 1:
+        if legendre:
             lo[j] = j / (2 * j - 1) if j > 0 else 0.0
             hi[j] = (j + 1) / (2 * j + 3)
         else:
@@ -170,7 +130,7 @@ def _shift_matrix_np(basis_code, d, orders):
                 uv += lo[j] * gm[j - 1]
             if j + 1 < orders:
                 uv += hi[j] * gm[j + 1]
-            if basis_code == 1:
+            if legendre:
                 row[j] = ((2 * m + 1) * (s * uv + sm1 * gm[j])
                           - m * gp[j]) / (m + 1)
             else:
@@ -186,8 +146,8 @@ def _shift_matrix_np(basis_code, d, orders):
 _FEW_GAPS = 2
 
 
-def _shift_matrices_np(basis_code, d, orders):
-    """Stack of _shift_matrix_np(basis_code, d[k], orders), one per gap.
+def shift_matrices(basis, d, orders):
+    """Stack of shift_matrix(basis, d[k], orders), one per gap.
 
     The same recurrences and the same floating-point operations, run over
     all gaps at once and over the columns of a row, so every matrix equals
@@ -197,14 +157,14 @@ def _shift_matrices_np(basis_code, d, orders):
     """
     d = np.asarray(d, dtype=np.float64)
     if len(d) <= _FEW_GAPS:
-        return np.array([_shift_matrix_np(basis_code, dk, orders)
+        return np.array([shift_matrix(basis, dk, orders)
                          for dk in d.tolist()]).reshape(len(d), orders, orders)
     G = np.zeros((len(d), orders, orders))
     G[:, 0, 0] = 1.0
     if orders == 1:
         return G
     j = np.arange(orders, dtype=np.float64)
-    if basis_code == 0:
+    if basis is BasisId.LAGUERRE:
         G[:, 1, 0] = -d
         G[:, 1, 1] = 1.0
         for m in range(1, orders - 1):
@@ -217,11 +177,12 @@ def _shift_matrices_np(basis_code, d, orders):
             G[:, m + 1, :w] = ((2 * m + 1 - d)[:, None] * gm - yv
                                - m * G[:, m - 1, :w]) / (m + 1)
         return G
+    legendre = basis is BasisId.SHIFTED_LEGENDRE
     s = np.exp(-d)[:, None]
     sm1 = s - 1.0
     G[:, 1, 0] = sm1[:, 0]
     G[:, 1, 1] = s[:, 0]
-    if basis_code == 1:
+    if legendre:
         # (u*v)[j] = j/(2j-1) v[j-1] + (j+1)/(2j+3) v[j+1]
         lo = j[1:] / (2.0 * j[1:] - 1.0)
         hi = j[1:] / (2.0 * j[:-1] + 3.0)
@@ -238,123 +199,9 @@ def _shift_matrices_np(basis_code, d, orders):
         uv[:, 0] = 0.0
         np.add(0.0, lo[:w - 1] * gm[:, :-1], out=uv[:, 1:])
         uv[:, :-1] += hi[:w - 1] * gm[:, 1:]
-        if basis_code == 1:
+        if legendre:
             G[:, m + 1, :w] = ((2 * m + 1) * (s * uv + sm1 * gm)
                                - m * G[:, m - 1, :w]) / (m + 1)
         else:
             G[:, m + 1, :w] = 2.0 * (s * uv + sm1 * gm) - G[:, m - 1, :w]
     return G
-
-
-# ---------------------------------------------------------------------------
-# numba lane
-# ---------------------------------------------------------------------------
-
-if _numba_ok:
-
-    @numba.njit(cache=True)
-    def _accumulate_nb(t, p, dV, i0, i1, t_prev0, t_now, tau, basis_code, out):
-        M = out.shape[1]
-        q = np.empty(M)
-        for l in range(i0, i1):
-            age = t_now - t[l]
-            w = np.exp(-age / tau)
-            if w < PRUNE_OMEGA:
-                continue
-            if basis_code == 0:
-                y = age / tau
-                q[0] = 1.0
-                if M > 1:
-                    q[1] = 1.0 - y
-                for m in range(1, M - 1):
-                    q[m + 1] = ((2 * m + 1 - y) * q[m] - m * q[m - 1]) / (m + 1)
-            else:
-                u = 2.0 * w - 1.0
-                q[0] = 1.0
-                if M > 1:
-                    q[1] = u
-                if basis_code == 1:
-                    for m in range(1, M - 1):
-                        q[m + 1] = ((2 * m + 1) * u * q[m] - m * q[m - 1]) / (m + 1)
-                else:
-                    for m in range(1, M - 1):
-                        q[m + 1] = 2.0 * u * q[m] - q[m - 1]
-            dt = t[l] - (t_prev0 if l == i0 else t[l - 1])
-            wdV = w * dV[l]
-            c0 = w * dt
-            c2 = p[l] * wdV
-            c3 = age * wdV
-            c4 = p[l] * c2
-            for m in range(M):
-                out[0, m] += c0 * q[m]
-                out[1, m] += wdV * q[m]
-                out[2, m] += c2 * q[m]
-                out[3, m] += c3 * q[m]
-                out[4, m] += c4 * q[m]
-
-    @numba.njit(cache=True)
-    def _symmetric_eigh_nb(S):
-        # Cyclic Jacobi: stop when the off-diagonal Frobenius mass falls
-        # under 1e-12 of the full Frobenius norm, at most 30 sweeps.
-        n = S.shape[0]
-        M = S.copy()
-        V = np.eye(n)
-        fro = np.sqrt(np.sum(M * M))
-        for _ in range(30):
-            off = 0.0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    off += 2.0 * M[i, j] * M[i, j]
-            if np.sqrt(off) <= 1e-12 * fro:
-                break
-            for i in range(n):
-                for j in range(i + 1, n):
-                    mij = M[i, j]
-                    if mij == 0.0:
-                        continue
-                    theta = (M[j, j] - M[i, i]) / (2.0 * mij)
-                    sign = 1.0 if theta >= 0.0 else -1.0
-                    tt = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    c = 1.0 / np.sqrt(tt * tt + 1.0)
-                    s = tt * c
-                    for k in range(n):
-                        mik = M[i, k]
-                        mjk = M[j, k]
-                        M[i, k] = c * mik - s * mjk
-                        M[j, k] = s * mik + c * mjk
-                    for k in range(n):
-                        mki = M[k, i]
-                        mkj = M[k, j]
-                        M[k, i] = c * mki - s * mkj
-                        M[k, j] = s * mki + c * mkj
-                    for k in range(n):
-                        vki = V[k, i]
-                        vkj = V[k, j]
-                        V[k, i] = c * vki - s * vkj
-                        V[k, j] = s * vki + c * vkj
-        w = np.empty(n)
-        for i in range(n):
-            w[i] = M[i, i]
-        order = np.argsort(w)
-        return w[order], V[:, order]
-
-    _shift_matrix_nb = numba.njit(cache=True)(_shift_matrix_np)
-
-    accumulate_block = _accumulate_nb
-    symmetric_eigh = _symmetric_eigh_nb
-    shift_matrix = _shift_matrix_nb
-else:
-    accumulate_block = _accumulate_np
-    symmetric_eigh = _symmetric_eigh_np
-    shift_matrix = _shift_matrix_np
-
-# The stacked kernels run the numpy code on both lanes; the numba lane
-# compiles only the per-matrix kernels above.
-shift_matrices = _shift_matrices_np
-
-# The numpy implementations stay importable under both lanes so tests and
-# benchmarks can compare them directly.
-accumulate_block_np = _accumulate_np
-symmetric_eigh_np = _symmetric_eigh_np
-shift_matrix_np = _shift_matrix_np
-shift_matrices_np = _shift_matrices_np

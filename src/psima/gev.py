@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .basis import BasisId, continuum_gram
 from .errors import DegenerateStateError, EmptyWindowError, InputError
 
@@ -75,6 +74,7 @@ def _quad(alpha: np.ndarray, M: np.ndarray) -> float:
 
 
 def _entries(M) -> np.ndarray:
+    """The matrix of an OperatorMatrix wrapper or of a bare array."""
     return np.asarray(getattr(M, "entries", M), dtype=np.float64)
 
 
@@ -217,7 +217,7 @@ def _solve_dim(A, B, T):
             return none
     S = _swap(np.linalg.solve(L, _swap(np.linalg.solve(L, A * DD))))
     S = 0.5 * (S + _swap(S))
-    w, U = _kernels.symmetric_eigh_np(S)
+    w, U = np.linalg.eigh(S)
     alphas = np.linalg.solve(_swap(L), U) * D[:, :, None]
 
     # straighten residual orthonormality drift with the Gram factor of

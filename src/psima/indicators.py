@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from math import floor, isfinite
 from typing import NamedTuple
 
 import numpy as np
 
 from .basis import BasisId, linearization_table, matrix_from_moments
 from .errors import DegenerateStateError, InputError, NoVolumeError
-from .gev import SpectralDecomposition, WaveFunction, solve_stack
+from .gev import SpectralDecomposition, WaveFunction, _entries, solve_stack
 from .measure import PRUNE_HORIZON, MomentEngine, tick_arrays
 
 __all__ = [
@@ -55,10 +56,6 @@ class IndicatorSample:
     P_aver: float
     effective_n: int
     p_std: float = float("nan")  # EMA deviation, optional CLI column
-
-
-def _entries(M) -> np.ndarray:
-    return np.asarray(getattr(M, "entries", M), dtype=np.float64)
 
 
 def ema_price(moments_price, moments_volume) -> float:
@@ -203,9 +200,11 @@ def run_over(ticks, basis: BasisId, n: int, tau: float,
              grid: float | None = None) -> tuple[list[IndicatorSample], int]:
     """Indicator series over a tape; returns (samples, degenerate_count).
 
-    Sampling is per tick by default, or on a fixed grid anchored at the
-    first tick when ``grid`` is given. Samples where the window is empty,
-    volume-free, or spectrally degenerate are skipped and counted.
+    Sampling is per tick by default. With ``grid`` the samples fall at
+    t0 + k*grid, k = 0, 1, ..., up to the last tick, t0 the first tick's
+    time; each is formed from k, so no rounding accumulates along a long
+    tape. Samples where the window is empty, volume-free, or spectrally
+    degenerate are skipped and counted.
 
     The tape runs in blocks of _BLOCK samples: the engine steps through a
     block's sample times (MomentEngine.advance_steps), and the block's
@@ -222,15 +221,12 @@ def run_over(ticks, basis: BasisId, n: int, tau: float,
         times = t
         ends = np.arange(1, len(t) + 1)
     else:
-        if grid <= 0:
-            raise InputError("grid step must be positive")
-        steps = []
-        ts = float(t[0])
-        last = float(t[-1])
-        while ts <= last:
-            steps.append(ts)
-            ts += grid
-        times = np.array(steps)
+        t0, last = float(t[0]), float(t[-1])
+        if not (isfinite(grid) and grid > 0 and last + grid > last):
+            raise InputError(f"grid step must be finite, positive and "
+                             f"advance the clock, got {grid!r}")
+        times = t0 + np.arange(floor((last - t0) / grid) + 1) * grid
+        times = times[times <= last]
         ends = np.searchsorted(t, times, side="right")
     horizon = PRUNE_HORIZON * engine.tau
     samples: list[IndicatorSample] = []

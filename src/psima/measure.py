@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -114,10 +115,14 @@ def _check_finite(*columns: np.ndarray) -> None:
         raise InputError("tick times, prices and shares must be finite")
 
 
+def _check_tau(tau: float) -> None:
+    if not (isfinite(tau) and tau > 0):
+        raise InputError(f"tau must be finite and positive, got {tau!r}")
+
+
 def x_of_t(basis: BasisId, t, t_now: float, tau: float):
     """Window coordinate of a timestamp; linear for laguerre, else exponential."""
-    if tau <= 0:
-        raise InputError("tau must be positive")
+    _check_tau(tau)
     t = np.asarray(t, dtype=np.float64)
     if basis is BasisId.LAGUERRE:
         return (t - t_now) / tau
@@ -125,8 +130,7 @@ def x_of_t(basis: BasisId, t, t_now: float, tau: float):
 
 
 def omega(t, t_now: float, tau: float):
-    if tau <= 0:
-        raise InputError("tau must be positive")
+    _check_tau(tau)
     return np.exp(-(t_now - np.asarray(t, dtype=np.float64)) / tau)
 
 
@@ -149,8 +153,7 @@ def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
     at or before t_now.
     """
     _check_orders(basis, orders)
-    if tau <= 0:
-        raise InputError("tau must be positive")
+    _check_tau(tau)
     t, p, dV = tick_arrays(ticks)
     if len(t) > 1 and np.any(np.diff(t) < 0):
         raise InputError("tick times must be nondecreasing")
@@ -158,8 +161,7 @@ def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
     if idx == 0:
         raise EmptyWindowError(f"no ticks at or before t_now={t_now}")
     out = np.zeros((5, orders))
-    _kernels.accumulate_block_np(t, p, dV, 0, idx, t[0], t_now, tau,
-                                 _kernels.BASIS_CODE[basis], out)
+    _kernels.accumulate_block(t, p, dV, 0, idx, t[0], t_now, tau, basis, out)
     return MomentVector(basis=basis, tau=tau, t_now=float(t_now),
                         measure=measure, values=out[_ROW[measure]].copy())
 
@@ -173,7 +175,7 @@ def _shift_matrices(basis: BasisId, delta_over_tau, orders: int) -> np.ndarray:
     d = np.asarray(delta_over_tau, dtype=np.float64)
     if len(d) == 1:
         return _single_shift(basis, float(d[0]), orders)[None]
-    return _kernels.shift_matrices(_kernels.BASIS_CODE[basis], d, orders)
+    return _kernels.shift_matrices(basis, d, orders)
 
 
 @lru_cache(maxsize=512)
@@ -181,8 +183,7 @@ def _single_shift(basis: BasisId, delta_over_tau: float,
                   orders: int) -> np.ndarray:
     # A live stream advances one gap at a time, and its gaps repeat when
     # timestamps come at a fixed resolution (HH:MM:SS.fff: 1 ms steps).
-    G = _kernels.shift_matrix(_kernels.BASIS_CODE[basis], delta_over_tau,
-                              orders)
+    G = _kernels.shift_matrix(basis, delta_over_tau, orders)
     G.flags.writeable = False
     return G
 
@@ -201,33 +202,30 @@ def advance_incremental(state: MomentVector, new_ticks, new_t_now: float, *,
     delta = float(new_t_now) - state.t_now
     if delta < 0:
         raise InputError("new_t_now must not precede the state's t_now")
-    vals = state.values
+    orders = state.order_count
+    rows = np.zeros((5, orders))
+    rows[_ROW[state.measure]] = state.values
     if state.measure is MeasureKind.AGE_VOLUME:
         if volume is None:
             raise InputError("age advance needs the companion volume moments")
         if volume.t_now != state.t_now or volume.measure is not MeasureKind.VOLUME_DV:
             raise InputError("companion volume moments must share t_now")
-        vals = vals + delta * volume.values
-    if delta > 0:
-        G = _shift_matrices(state.basis, [delta / state.tau],
-                            state.order_count)[0]
-        vals = np.exp(-delta / state.tau) * (G @ vals)
-    else:
-        vals = vals.copy()
-
+        rows[_ROW[MeasureKind.VOLUME_DV]] = volume.values
     t, p, dV = tick_arrays(new_ticks)
-    if len(t):
-        if np.any(np.diff(t) < 0) or t[-1] > new_t_now:
-            raise InputError("new ticks must be nondecreasing and <= new_t_now")
-        scratch = np.zeros((5, state.order_count))
-        prev = t[0] if t_prev is None else float(t_prev)
-        _kernels.accumulate_block_np(t, p, dV, 0, len(t), prev, new_t_now,
-                                     state.tau,
-                                     _kernels.BASIS_CODE[state.basis], scratch)
-        vals += scratch[_ROW[state.measure]]
+    if len(t) and (np.any(np.diff(t) < 0) or t[-1] > new_t_now):
+        raise InputError("new ticks must be nondecreasing and <= new_t_now")
+    # one engine step over a state holding this measure's row (and, for
+    # age, the volume row it couples to); its order count may be even
+    engine = MomentEngine(state.basis, (orders + 1) // 2, state.tau)
+    engine.orders = orders
+    engine.state = rows
+    engine.t_now = state.t_now
+    engine.last_t = None if t_prev is None else float(t_prev)
+    engine.tick_count = 1  # the state holds mass, so the step shifts it
+    engine.advance_steps([float(new_t_now)], t, p, dV, 0, [len(t)])
     return MomentVector(basis=state.basis, tau=state.tau,
                         t_now=float(new_t_now), measure=state.measure,
-                        values=vals)
+                        values=engine.state[_ROW[state.measure]].copy())
 
 
 def _after(first, a: np.ndarray) -> np.ndarray:
@@ -254,8 +252,7 @@ class MomentEngine:
             raise CapabilityError(
                 f"{basis.value}: n={n} exceeds the stable model order "
                 f"{max_model_order(basis)}")
-        if tau <= 0:
-            raise InputError("tau must be positive")
+        _check_tau(tau)
         self.basis = basis
         self.n = int(n)
         self.tau = float(tau)
@@ -265,7 +262,6 @@ class MomentEngine:
         self.last_t: float | None = None
         self.p_last: float | None = None
         self.tick_count = 0
-        self._code = _kernels.BASIS_CODE[basis]
 
     def advance_to(self, t_new: float, t: np.ndarray | None = None,
                    p: np.ndarray | None = None, dV: np.ndarray | None = None,
@@ -330,7 +326,7 @@ class MomentEngine:
             elif b > a:
                 _kernels.accumulate_block(t, p, dV, a, b,
                                           t[a] if last is None else last, ts,
-                                          self.tau, self._code, st)
+                                          self.tau, self.basis, st)
             if b > a:
                 has_ticks = True
                 last = float(t[b - 1])

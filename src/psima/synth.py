@@ -9,7 +9,7 @@ any implementation language reproduces identical tapes bit for bit.
 
 from __future__ import annotations
 
-from math import log
+from math import isfinite, log
 
 from .errors import InputError
 from .measure import Tick
@@ -31,6 +31,12 @@ def uniform01(seed: int, counter: int) -> float:
     return (z >> 11) * 2.0 ** -53
 
 
+def _check_finite(**args: float) -> None:
+    for name, value in args.items():
+        if not isfinite(value):
+            raise InputError(f"{name} must be finite, got {value!r}")
+
+
 def steady(rate: float, flow: float, price: float, duration: float,
            seed: int) -> list[Tick]:
     """Poisson arrivals at ``rate``/s carrying constant ``flow`` shares/s.
@@ -39,6 +45,7 @@ def steady(rate: float, flow: float, price: float, duration: float,
     so sum(dV) = flow * t_last = integral(flow dt) up to the unfinished
     final gap (one trade's worth).
     """
+    _check_finite(rate=rate, flow=flow, price=price, duration=duration)
     if rate <= 0 or flow < 0 or price <= 0 or duration <= 0:
         raise InputError("steady needs positive rate, price, duration "
                          "and nonnegative flow")
@@ -67,6 +74,8 @@ def spike(base: list[Tick], at: float, magnitude: float, width: float,
     the window is interior. magnitude == 1 returns an identical stream.
     Stacked spikes that would drive flow negative are rejected.
     """
+    _check_finite(at=at, magnitude=magnitude, width=width,
+                  price_shift=price_shift)
     if width <= 0:
         raise InputError("spike width must be positive")
     lo, hi = at, at + width

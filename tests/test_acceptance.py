@@ -4,7 +4,6 @@ Each test prints one summary line with its measured numbers; the pytest
 verdict on the test is the pass/fail verdict on the criterion.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -323,19 +322,15 @@ def test_criterion_10_end_to_end_determinism():
                  "--rate", "1", "--flow", "100", "--price", "100",
                  "--duration", "10000"]
     run_cmd = [sys.executable, "-m", "psima.cli", "run", "--input", "-"]
-    # the throughput bound holds on whichever kernel lane runs; don't let
-    # a lane override on the test runner leak into the product under test
-    env = {k: v for k, v in os.environ.items() if k != "PSIMA_NO_NUMBA"}
 
     def piped():
-        tape = subprocess.run(synth_cmd, capture_output=True, check=True,
-                              env=env)
+        tape = subprocess.run(synth_cmd, capture_output=True, check=True)
         t0 = time.perf_counter()
         out = subprocess.run(run_cmd, input=tape.stdout,
-                             capture_output=True, check=True, env=env)
+                             capture_output=True, check=True)
         return out.stdout, time.perf_counter() - t0
 
-    first, _ = piped()  # warm pass; also compiles any disk-cached kernels
+    first, _ = piped()  # warm pass: file cache and bytecode
     second, elapsed = piped()
     n_ticks = len(first.splitlines()) - 1
     print(f"criterion 10: {n_ticks} ticks, identical={first == second}, "

@@ -158,18 +158,26 @@ def test_run_over_per_tick_and_grid():
     assert times[-1] <= ticks[-1].t + 10.0
 
 
+def _grid_times(t, grid):
+    """t0 + k*grid for k = 0, 1, ... while at or before the last tick."""
+    t0, k, times = float(t[0]), 0, []
+    while t0 + k * grid <= t[-1]:
+        times.append(t0 + k * grid)
+        k += 1
+    return times
+
+
 def _stream_samples(ticks, basis, n, tau, grid=None):
     """advance_to + evaluate_at, one sample at a time, as a live caller."""
     t, p, dV = tick_arrays(ticks)
     if grid is None:
         plan = [(float(t[l]), l, l + 1) for l in range(len(t))]
     else:
-        plan, i, ts = [], 0, float(t[0])
-        while ts <= t[-1]:
+        plan, i = [], 0
+        for ts in _grid_times(t, grid):
             j = int(np.searchsorted(t, ts, side="right"))
             plan.append((ts, i, j))
             i = j
-            ts += grid
     eng = MomentEngine(basis, n, tau)
     samples, skipped = [], 0
     for ts, i, j in plan:
@@ -205,6 +213,29 @@ def test_run_over_equals_live_streaming(basis, grid):
         assert skipped > 0  # empty windows in the quiet spell
     if basis is BasisId.LAGUERRE:
         assert any(0 < s.effective_n < n for s in samples)
+
+
+def test_long_grid_times_are_exact_multiples():
+    # summing the step would drift off t0 + k*grid over 10,000 samples
+    grid = 0.1
+    ticks = regular_stream(0.05, 1000.0, 100.0, price=50.0)
+    t0 = ticks[0].t
+    samples, skipped = run_over(ticks, BasisId.CHEBYSHEV, 3, 8.0, grid=grid)
+    assert skipped == 0
+    assert [s.t_now for s in samples] == [t0 + k * grid
+                                          for k in range(len(samples))]
+    assert len(samples) == len(_grid_times([t0, ticks[-1].t], grid))
+    acc = t0
+    for _ in range(len(samples) - 1):
+        acc += grid
+    assert acc != samples[-1].t_now  # a summed schedule ends elsewhere
+
+
+@pytest.mark.parametrize("grid", [0.0, -1.0, np.nan, np.inf, 1e-300])
+def test_bad_grid_steps_are_refused(grid):
+    ticks = make_stream(5, 20)
+    with pytest.raises(InputError, match="grid"):
+        run_over(ticks, BasisId.SHIFTED_LEGENDRE, 3, 8.0, grid=grid)
 
 
 @pytest.mark.parametrize("bad", [(2, np.nan, 10.0), (2, 100.0, np.inf),

@@ -1,67 +1,25 @@
 import numpy as np
 import pytest
 
-from conftest import make_stream
 from psima import BasisId, tick_arrays
-from psima._kernels import (BASIS_CODE, PRUNE_OMEGA, accumulate_block,
-                            accumulate_block_np, lane_name, symmetric_eigh,
-                            symmetric_eigh_np)
-
-numba = pytest.importorskip("numba") if lane_name() == "numba" else None
+from psima._kernels import PRUNE_OMEGA, accumulate_block
 
 
-def _accumulate(fn, ticks, t_now, tau, basis, orders, i0=None, i1=None,
-                t_prev0=0.0):
+def _accumulate(ticks, t_now, tau, basis, orders):
     t, p, dV = tick_arrays(ticks)
     out = np.zeros((5, orders))
-    lo = 0 if i0 is None else i0
-    hi = len(t) if i1 is None else i1
-    if lo > 0:
-        t_prev0 = t[lo - 1]
-    fn(t, p, dV, lo, hi, t_prev0, t_now, tau, BASIS_CODE[basis], out)
+    accumulate_block(t, p, dV, 0, len(t), 0.0, t_now, tau, basis, out)
     return out
-
-
-def test_lane_name_is_valid():
-    assert lane_name() in ("numba", "numpy")
-
-
-@pytest.mark.parametrize("basis", list(BasisId))
-def test_lanes_agree_on_full_pass(stream400, basis):
-    if lane_name() != "numba":
-        pytest.skip("numba lane not active")
-    t_now = stream400[-1].t
-    a = _accumulate(accumulate_block, stream400, t_now, 64.0, basis, 19)
-    b = _accumulate(accumulate_block_np, stream400, t_now, 64.0, basis, 19)
-    scale = np.max(np.abs(b), axis=1, keepdims=True)
-    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(scale, 1e-300))
-
-
-@pytest.mark.parametrize("basis", list(BasisId))
-def test_lanes_agree_on_partial_blocks(basis):
-    if lane_name() != "numba":
-        pytest.skip("numba lane not active")
-    ticks = make_stream(23, 600)
-    t_now = ticks[-1].t
-    for i0, i1 in ((0, 200), (200, 450), (450, 600)):
-        a = _accumulate(accumulate_block, ticks, t_now, 32.0, basis, 15,
-                        i0, i1)
-        b = _accumulate(accumulate_block_np, ticks, t_now, 32.0, basis, 15,
-                        i0, i1)
-        scale = max(float(np.max(np.abs(b))), 1e-300)
-        assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
 
 def test_prune_skips_ticks_past_horizon(stream400):
     tau = 4.0
     t_now = stream400[-1].t + 200.0 * tau
-    got = _accumulate(accumulate_block, stream400, t_now, tau,
-                      BasisId.CHEBYSHEV, 9)
+    got = _accumulate(stream400, t_now, tau, BasisId.CHEBYSHEV, 9)
     assert np.all(got == 0.0)
     # just inside the cutoff the weight survives
     t_now = stream400[-1].t - np.log(PRUNE_OMEGA) * tau * 0.99
-    got = _accumulate(accumulate_block, stream400, t_now, tau,
-                      BasisId.CHEBYSHEV, 9)
+    got = _accumulate(stream400, t_now, tau, BasisId.CHEBYSHEV, 9)
     assert got[0, 0] > 0.0
 
 
@@ -74,29 +32,6 @@ def test_prune_threshold_boundary():
     out = np.zeros((5, 3))
     # first tick beyond the horizon, second inside: only one contributes
     accumulate_block(t, p, dV, 0, 2, 0.0, edge + 0.5, tau,
-                     BASIS_CODE[BasisId.SHIFTED_LEGENDRE], out)
+                     BasisId.SHIFTED_LEGENDRE, out)
     only_second = np.exp(-(edge + 0.5 - 1.0) / tau) * 5.0
     assert out[1, 0] == pytest.approx(only_second, rel=1e-12)
-
-
-def test_jacobi_matches_lapack_eigenvalues():
-    rng = np.random.default_rng(5)
-    for n in (2, 4, 8, 12):
-        for _ in range(10):
-            R = rng.standard_normal((n, n))
-            S = 0.5 * (R + R.T)
-            w, U = symmetric_eigh(S)
-            w_ref, _ = symmetric_eigh_np(S)
-            scale = max(float(np.max(np.abs(w_ref))), 1e-300)
-            assert np.max(np.abs(w - w_ref)) <= 1e-10 * scale
-            assert np.all(np.diff(w) >= 0.0)
-            # eigenvectors: residual and orthonormality
-            assert np.max(np.abs(S @ U - U * w[None, :])) <= 1e-9 * scale
-            assert np.max(np.abs(U.T @ U - np.eye(n))) <= 1e-10
-
-
-def test_jacobi_diagonal_input_is_exact():
-    d = np.array([3.0, -1.0, 7.5, 0.0])
-    w, U = symmetric_eigh(np.diag(d))
-    assert np.array_equal(w, np.sort(d))
-    assert np.max(np.abs(np.abs(U) - np.eye(4)[:, np.argsort(d)])) == 0.0

@@ -8,8 +8,8 @@ from conftest import make_stream, rel_err
 from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
                    MeasureKind, MomentEngine, Tick, advance_incremental,
                    omega, resample_full, tick_arrays, x_of_t)
-from psima._kernels import (BASIS_CODE, accumulate_block_np, arrival_rows,
-                            shift_matrices_np, shift_matrix, shift_matrix_np)
+from psima._kernels import (accumulate_block, arrival_rows, shift_matrices,
+                            shift_matrix)
 from psima.measure import PRUNE_HORIZON, _shift_matrices
 
 ALL_BASES = list(BasisId)
@@ -28,6 +28,20 @@ def test_coordinate_maps():
         x_of_t(BasisId.LAGUERRE, 0.0, 0.0, 0.0)
     with pytest.raises(InputError):
         omega(0.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_non_finite_tau_is_refused(tau):
+    ticks = [Tick(1.0, 100.0, 5.0)]
+    with pytest.raises(InputError, match="tau"):
+        x_of_t(BasisId.CHEBYSHEV, 0.0, 1.0, tau)
+    with pytest.raises(InputError, match="tau"):
+        omega(0.0, 1.0, tau)
+    with pytest.raises(InputError, match="tau"):
+        resample_full(ticks, 1.0, tau, BasisId.CHEBYSHEV, 3,
+                      MeasureKind.VOLUME_DV)
+    with pytest.raises(InputError, match="tau"):
+        MomentEngine(BasisId.CHEBYSHEV, 2, tau)
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
@@ -226,11 +240,10 @@ def test_block_shift_builder_is_the_scalar_builder_bit_for_bit(basis):
     # gaps in tau units: none, tiny, about one tau, past the prune horizon
     d = np.array([0.0, 1e-9, 0.73, 1.0, 1.37, 36.9, 41.5])
     assert d[-1] > PRUNE_HORIZON
-    code = BASIS_CODE[basis]
-    block = shift_matrices_np(code, d, 23)
+    block = shift_matrices(basis, d, 23)
     assert block.shape == (len(d), 23, 23)
     for k, dk in enumerate(d):
-        ref = shift_matrix_np(code, float(dk), 23)
+        ref = shift_matrix(basis, float(dk), 23)
         assert np.all(np.isfinite(ref))
         assert np.array_equal(block[k], ref)
         assert np.array_equal(np.signbit(block[k]), np.signbit(ref))
@@ -243,7 +256,7 @@ def test_single_gap_shift_is_cached_and_read_only(basis):
     G2 = _shift_matrices(basis, [0.125], 23)
     assert np.shares_memory(G1, G2)
     assert not G1.flags.writeable
-    assert np.array_equal(G1[0], shift_matrix(BASIS_CODE[basis], 0.125, 23))
+    assert np.array_equal(G1[0], shift_matrix(basis, 0.125, 23))
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
@@ -259,7 +272,7 @@ def test_arrival_rows_are_the_accumulate_at_age_zero(basis):
     rows = arrival_rows(np.diff(t, prepend=t[0]), p, dV)
     for l in range(len(t)):
         out = np.zeros((5, orders))
-        accumulate_block_np(t, p, dV, l, l + 1, t[l - 1] if l else t[0],
-                            t[l], 64.0, BASIS_CODE[basis], out)
+        accumulate_block(t, p, dV, l, l + 1, t[l - 1] if l else t[0], t[l],
+                         64.0, basis, out)
         assert np.array_equal(out, np.repeat(rows[:, l, None], orders,
                                              axis=1))

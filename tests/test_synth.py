@@ -102,3 +102,21 @@ def test_spike_rejects_nonpositive_width():
     base = steady(rate=1.0, flow=10.0, price=1.0, duration=50.0, seed=0)
     with pytest.raises(InputError):
         spike(base, at=10.0, magnitude=2.0, width=0.0)
+
+
+@pytest.mark.parametrize("name", ["rate", "flow", "price", "duration"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_steady_rejects_non_finite_arguments(name, value):
+    args = dict(rate=1.0, flow=10.0, price=1.0, duration=10.0, seed=0)
+    args[name] = value
+    with pytest.raises(InputError, match=name):
+        steady(**args)
+
+
+@pytest.mark.parametrize("name", ["at", "magnitude", "width", "price_shift"])
+def test_spike_rejects_non_finite_arguments(name):
+    base = steady(rate=1.0, flow=10.0, price=1.0, duration=50.0, seed=0)
+    args = dict(at=10.0, magnitude=2.0, width=5.0, price_shift=0.5)
+    args[name] = float("nan")
+    with pytest.raises(InputError, match=name):
+        spike(base, **args)
