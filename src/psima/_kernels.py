@@ -14,9 +14,22 @@ omega < 1e-16 and are skipped.
 shift_matrices works on one matrix per gap along the leading axis, so a
 whole block of samples costs one call; shift_matrix builds a single one
 and is the bit-for-bit reference for the stack.
+
+The Laguerre shift needs no recurrence over matrix rows. By the addition
+theorem (DLMF 18.18.12 with alpha = 0, beta = -1)
+
+    L_m(y + d) = sum_i L_i(y) L^{(-1)}_{m-i}(d),
+
+so G is lower-triangular Toeplitz: G[m, i] = g_{m-i} with g_0 = 1 and
+g_j = L^{(-1)}_j(d) = -(d/j) L^{(1)}_{j-1}(d). The L^{(1)} values come
+from their own three-term recurrence, which keeps its accuracy at small
+d where the L^{(-1)} recurrence cancels, and G is one gather of g through
+a cached lag-index matrix.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,16 +81,37 @@ def arrival_rows(dt, p, dV):
     return np.stack([dt, dV, p * dV, 0.0 * dV, p * p * dV])
 
 
+@lru_cache(maxsize=None)
+def _lags(orders):
+    """Lag m - i of each entry G[m, i]; above the diagonal, ``orders``.
+
+    Gathering g_0..g_{orders-1} followed by one zero through this matrix
+    gives the lower-triangular Toeplitz G.
+    """
+    m = np.arange(orders)
+    lag = m[:, None] - m[None, :]
+    lag[lag < 0] = orders
+    lag.flags.writeable = False
+    return lag
+
+
 def shift_matrix(basis, d, orders):
     """G with Q_m(x') = sum_i G[m,i] Q_i(x) after the window ages by d*tau.
 
-    Laguerre shifts its linear argument, y -> y + d; the exponential bases
-    scale theirs by s = exp(-d). Rows follow the three-term recurrences with
-    the argument substituted, so row m never reaches past column m. The
-    two rows the recurrence reads, and its coefficients, are kept as lists
-    of floats, which the interpreter reads several times faster than array
-    elements.
+    Laguerre shifts its linear argument, y -> y + d, and G is the Toeplitz
+    gather of the closed-form g. The exponential bases scale theirs by
+    s = exp(-d); their rows follow the three-term recurrences with the
+    argument substituted, so row m never reaches past column m. The
+    values a loop reads are kept as Python floats, which the interpreter
+    reads several times faster than array elements.
     """
+    if basis is BasisId.LAGUERRE:
+        g = [1.0] + [0.0] * orders
+        a, b = 1.0, 0.0              # L^{(1)}_{j-1}(d), L^{(1)}_{j-2}(d)
+        for j in range(1, orders):
+            g[j] = -(d / j) * a
+            a, b = ((2 * j - d) * a - j * b) / j, a
+        return np.array(g)[_lags(orders)]
     G = np.zeros((orders, orders))
     G[0, 0] = 1.0
     if orders == 1:
@@ -85,26 +119,6 @@ def shift_matrix(basis, d, orders):
     gp = [0.0] * orders
     gp[0] = 1.0
     gm = [0.0] * orders
-    if basis is BasisId.LAGUERRE:
-        gm[0] = -d
-        gm[1] = 1.0
-        G[1, 0] = gm[0]
-        G[1, 1] = gm[1]
-        for m in range(1, orders - 1):
-            row = [0.0] * orders
-            c = 2 * m + 1 - d
-            for j in range(m + 2):
-                # (y*v)[j] = -j v[j-1] + (2j+1) v[j] - (j+1) v[j+1]
-                yv = (2 * j + 1) * gm[j]
-                if j > 0:
-                    yv -= j * gm[j - 1]
-                if j + 1 < orders:
-                    yv -= (j + 1) * gm[j + 1]
-                row[j] = (c * gm[j] - yv - m * gp[j]) / (m + 1)
-                G[m + 1, j] = row[j]
-            gp = gm
-            gm = row
-        return G
     legendre = basis is BasisId.SHIFTED_LEGENDRE
     s = float(np.exp(-d))
     sm1 = s - 1.0
@@ -149,34 +163,30 @@ _FEW_GAPS = 2
 def shift_matrices(basis, d, orders):
     """Stack of shift_matrix(basis, d[k], orders), one per gap.
 
-    The same recurrences and the same floating-point operations, run over
-    all gaps at once and over the columns of a row, so every matrix equals
-    the scalar builder's bit for bit. Row m + 1 is formed on columns
-    0..m+1 only, as the scalar loop forms it; terms that would read the
-    zeros past column m + 1 of row m add nothing and are left out.
+    The same floating-point operations as the scalar builder, run over all
+    gaps at once (and, for the exponential bases, over the columns of a
+    row), so every matrix equals the scalar builder's bit for bit. Row
+    m + 1 of an exponential basis is formed on columns 0..m+1 only, as the
+    scalar loop forms it; terms that would read the zeros past column
+    m + 1 of row m add nothing and are left out.
     """
     d = np.asarray(d, dtype=np.float64)
     if len(d) <= _FEW_GAPS:
         return np.array([shift_matrix(basis, dk, orders)
                          for dk in d.tolist()]).reshape(len(d), orders, orders)
+    if basis is BasisId.LAGUERRE:
+        g = np.zeros((len(d), orders + 1))
+        g[:, 0] = 1.0
+        a, b = np.ones(len(d)), np.zeros(len(d))
+        for j in range(1, orders):
+            g[:, j] = -(d / j) * a
+            a, b = ((2 * j - d) * a - j * b) / j, a
+        return g[:, _lags(orders)]
     G = np.zeros((len(d), orders, orders))
     G[:, 0, 0] = 1.0
     if orders == 1:
         return G
     j = np.arange(orders, dtype=np.float64)
-    if basis is BasisId.LAGUERRE:
-        G[:, 1, 0] = -d
-        G[:, 1, 1] = 1.0
-        for m in range(1, orders - 1):
-            w = m + 2
-            gm = G[:, m, :w]
-            # (y*v)[j] = -j v[j-1] + (2j+1) v[j] - (j+1) v[j+1]
-            yv = (2.0 * j[:w] + 1.0) * gm
-            yv[:, 1:] -= j[1:w] * gm[:, :-1]
-            yv[:, :-1] -= j[1:w] * gm[:, 1:]
-            G[:, m + 1, :w] = ((2 * m + 1 - d)[:, None] * gm - yv
-                               - m * G[:, m - 1, :w]) / (m + 1)
-        return G
     legendre = basis is BasisId.SHIFTED_LEGENDRE
     s = np.exp(-d)[:, None]
     sm1 = s - 1.0

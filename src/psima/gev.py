@@ -15,6 +15,18 @@ truncation beats ridging here.
 solve_stack runs every gate over a stack of pencils at once, and only the
 pencils that fail at a dimension try the next one down; solve_pencil is
 solve_stack on a stack of one.
+
+The first two gates, pivot and resolution, each pass on a prefix 1..r of
+the dimensions. The pivot gate is a running minimum and maximum of the
+Gram diagonal. The resolution gate bounds the condition number of the
+window Gram whitened by the ideal window's inverse Cholesky factor W.
+W is lower-triangular, so the whitened m-by-m Gram is the leading block
+of the whitened n-by-n one, and by Cauchy interlacing (Horn & Johnson,
+Matrix Analysis, 4.3) the extreme eigenvalues of a leading block lie
+inside those of the whole: its conditioning can only fall as m falls.
+So the search for r need not start at n. It starts where the caller's
+last solve stopped, probes that dimension and the one above, and walks
+on only where that bracket fails.
 """
 
 from __future__ import annotations
@@ -111,14 +123,16 @@ def solve_pencil(A, B, tie_breaker=None) -> SpectralDecomposition:
 
 
 def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
-                basis: BasisId | None = None) -> PencilStack:
+                basis: BasisId | None = None,
+                start: int | None = None) -> PencilStack:
     """solve_pencil over a stack of (n, n) pencils, (K, n, n) each.
 
-    Every pencil first tries the full dimension n; only those that fail a
-    gate there try n-1, then n-2 and so on, each dimension solving its
-    remaining pencils together. ``T`` stacks the tie-breakers and
-    ``basis`` switches the resolution gate on, as the OperatorMatrix
-    wrappers do for solve_pencil.
+    Every pencil first tries the largest dimension its Gram passes the
+    pivot and resolution gates at (_dims, searching from ``start``,
+    default n); only those that fail a later gate there try one lower,
+    and so on, each dimension solving its remaining pencils together.
+    ``T`` stacks the tie-breakers and ``basis`` switches the resolution
+    gate on, as the OperatorMatrix wrappers do for solve_pencil.
     """
     K, n = B.shape[0], B.shape[-1]
     effective_n = np.zeros(K, dtype=np.intp)
@@ -126,21 +140,10 @@ def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
     alphas = np.zeros((K, n, n))
     i_IH = np.zeros(K, dtype=np.intp)
     i_IL = np.zeros(K, dtype=np.intp)
-    # pivot gate of every leading dimension at once: column m-1 holds the
-    # verdict on the m-by-m Gram's diagonal
-    d = _diag(B)
-    dmin = np.minimum.accumulate(d, axis=1)
-    pivots = ~((dmin <= 0.0)
-               | (dmin < PIVOT_RTOL * np.maximum.accumulate(d, axis=1)))
-    todo = np.arange(K)
-    for m in range(n, 0, -1):
-        cand = todo[pivots[todo, m - 1]]
-        # resolution gate: compare the window Gram against the ideal dense
-        # window on the same polynomial subspace. The comparison is a pure
-        # quadratic-form ratio, so all bases compute the same number and
-        # reduce their dimension at the same samples.
-        if basis is not None and len(cand):
-            cand = cand[_resolved(B[cand, :m, :m], basis, m)]
+    dims = _dims(B, basis, n if start is None else start)
+    todo = np.flatnonzero(dims)
+    for m in range(int(dims.max(initial=0)), 0, -1):
+        cand = todo[dims[todo] >= m]
         if not len(cand):
             continue
         passed, w, al, top, low = _solve_dim(
@@ -158,6 +161,52 @@ def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
         if not len(todo):
             break
     return PencilStack(effective_n, lambdas, alphas, i_IH, i_IL)
+
+
+def _dims(B: np.ndarray, basis: BasisId | None, start: int) -> np.ndarray:
+    """Largest dimension passing the pivot and resolution gates, per Gram.
+
+    0 where even the 1-by-1 Gram fails. Both gates pass on a prefix of
+    the dimensions (see the module docstring), so the resolution gate is
+    probed at start + 1 and start first, and then only upward from
+    pencils that pass at start + 1 or downward from those that fail at
+    start.
+    """
+    n = B.shape[-1]
+    # pivot gate of every leading dimension at once: column m-1 holds the
+    # verdict on the m-by-m Gram's diagonal
+    d = _diag(B)
+    dmin = np.minimum.accumulate(d, axis=1)
+    top = (~((dmin <= 0.0)
+             | (dmin < PIVOT_RTOL * np.maximum.accumulate(d, axis=1)))
+           ).sum(axis=1)
+    if basis is None:
+        return top
+    # resolution gate: compare the window Gram against the ideal dense
+    # window on the same polynomial subspace. The comparison is a pure
+    # quadratic-form ratio, so all bases compute the same number and
+    # reduce their dimension at the same samples.
+    h = min(max(int(start), 1), n)
+    dims = np.zeros(len(B), dtype=np.intp)
+    down = np.flatnonzero(top <= h)
+    up = np.flatnonzero(top > h)
+    for m in range(h + 1, n + 1):
+        if not len(up):
+            break
+        ok = _resolved(B[up, :m, :m], basis, m)
+        if m == h + 1:
+            down = np.concatenate([down, up[~ok]])
+        up = up[ok]
+        dims[up] = m
+        up = up[top[up] > m]
+    for m in range(h, 0, -1):
+        cand = down[top[down] >= m]
+        if len(cand):
+            dims[cand[_resolved(B[cand, :m, :m], basis, m)]] = m
+            down = down[dims[down] == 0]
+        if not len(down):
+            break
+    return dims
 
 
 def _swap(X: np.ndarray) -> np.ndarray:

@@ -106,6 +106,10 @@ def phi_average(dec: SpectralDecomposition, M_pI, M_I) -> float:
 # Samples per batched block of run_over: bounds the shift-matrix, moment
 # and operator stacks to about 2 MB at n = 12.
 _BLOCK = 256
+# Most grid samples one run_over call takes. The sample times alone cost
+# 8 bytes each, so a step far below the tape's span is refused before
+# anything is allocated.
+_MAX_GRID_SAMPLES = 10**8
 
 _OK, _NO_VOLUME, _DEGENERATE = 0, 1, 2
 
@@ -122,13 +126,16 @@ class _Readings(NamedTuple):
     p_std: np.ndarray
 
 
-def _readings(rows: np.ndarray, basis: BasisId, n: int) -> _Readings:
-    """Indicator fields for a stack of engine snapshots, rows (K, 5, 2n-1).
+def _readings(rows: np.ndarray, engine: MomentEngine) -> _Readings:
+    """Indicator fields for a stack of the engine's snapshots, (K, 5, 2n-1).
 
     All four operators of every sample come from one contraction and all
-    pencils from one stacked solve. A sample without window volume, or
-    whose top state reads no volume, gets a nonzero status instead.
+    pencils from one stacked solve, whose dimension search starts at
+    engine.resolved_n; the last solved pencil's dimension is written back
+    there. A sample without window volume, or whose top state reads no
+    volume, gets a nonzero status instead.
     """
+    basis, n = engine.basis, engine.n
     vol0 = rows[:, 1, 0]
     novol = vol0 <= 0.0
     status = np.where(novol, _NO_VOLUME, _OK)
@@ -151,7 +158,9 @@ def _readings(rows: np.ndarray, basis: BasisId, n: int) -> _Readings:
         table = linearization_table(basis, n - 1)
         # time, volume, price and age operators: B, A, Mp, Ma
         ops = matrix_from_moments(rows[live, :4], n, table)
-        sol = solve_stack(ops[:, 1], ops[:, 0], ops[:, 3], basis)
+        sol = solve_stack(ops[:, 1], ops[:, 0], ops[:, 3], basis,
+                          engine.resolved_n)
+        engine.resolved_n = int(sol.effective_n[-1]) or engine.resolved_n
         for m in set(sol.effective_n.tolist()) - {0}:
             sel = np.flatnonzero(sol.effective_n == m)
             top, low = sol.i_IH[sel], sol.i_IL[sel]
@@ -188,7 +197,7 @@ def evaluate_at(t_now: float, engine: MomentEngine) -> IndicatorSample:
     if engine.t_now is None or engine.t_now != t_now:
         raise InputError(f"engine is at t_now={engine.t_now}, asked {t_now}")
     engine.check_window()
-    r = _readings(engine.raw_rows()[None], engine.basis, engine.n)
+    r = _readings(engine.raw_rows()[None], engine)
     if r.status[0] == _NO_VOLUME:
         raise NoVolumeError("window holds no traded volume")
     if r.status[0] == _DEGENERATE:
@@ -203,8 +212,9 @@ def run_over(ticks, basis: BasisId, n: int, tau: float,
     Sampling is per tick by default. With ``grid`` the samples fall at
     t0 + k*grid, k = 0, 1, ..., up to the last tick, t0 the first tick's
     time; each is formed from k, so no rounding accumulates along a long
-    tape. Samples where the window is empty, volume-free, or spectrally
-    degenerate are skipped and counted.
+    tape. A step giving more than _MAX_GRID_SAMPLES (10^8) samples raises
+    InputError. Samples where the window is empty, volume-free, or
+    spectrally degenerate are skipped and counted.
 
     The tape runs in blocks of _BLOCK samples: the engine steps through a
     block's sample times (MomentEngine.advance_steps), and the block's
@@ -225,7 +235,12 @@ def run_over(ticks, basis: BasisId, n: int, tau: float,
         if not (isfinite(grid) and grid > 0 and last + grid > last):
             raise InputError(f"grid step must be finite, positive and "
                              f"advance the clock, got {grid!r}")
-        times = t0 + np.arange(floor((last - t0) / grid) + 1) * grid
+        steps = (last - t0) / grid
+        if not steps < _MAX_GRID_SAMPLES:
+            raise InputError(f"grid step {grid!r} asks for {steps + 1:.3g} "
+                             f"samples, over the limit of "
+                             f"{_MAX_GRID_SAMPLES:.0e}")
+        times = t0 + np.arange(floor(steps) + 1) * grid
         times = times[times <= last]
         ends = np.searchsorted(t, times, side="right")
     horizon = PRUNE_HORIZON * engine.tau
@@ -239,7 +254,7 @@ def run_over(ticks, basis: BasisId, n: int, tau: float,
         last_tick = ends[b0:b1] - 1
         # the window is empty once its last tick is past the horizon
         inside = np.flatnonzero(~(times[b0:b1] - t[last_tick] > horizon))
-        r = _readings(rows[inside], basis, n)
+        r = _readings(rows[inside], engine)
         good = np.flatnonzero(r.status == _OK)
         degenerate += (b1 - b0) - len(good)
         keep = inside[good]

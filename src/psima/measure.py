@@ -19,9 +19,11 @@ Two ways to obtain moments at a timestamp:
   window coordinate affinely (x' = s*x for the exponential coordinate,
   y' = y + delta/tau for the linear one), so Q_m at the new coordinate is an
   exact linear combination of Q_0..Q_m at the old one. The combination
-  matrix G comes from the three-term recurrences; no per-tick history is
-  needed. The age measure additionally couples to volume since
-  (t_new - t) = (t_old_now - t) + delta.
+  matrix G comes from the three-term recurrences (for Laguerre, from the
+  addition theorem in closed form); no per-tick history is needed. The age
+  measure additionally couples to volume since
+  (t_new - t) = (t_old_now - t) + delta. A shift longer than the prune
+  horizon leaves no unpruned mass, so it clears the state instead.
 
 The engine absorbs a tick at its own arrival time when it can: there the
 age is 0 and Q_m = 1 in every family, so the tick adds one constant per
@@ -262,6 +264,9 @@ class MomentEngine:
         self.last_t: float | None = None
         self.p_last: float | None = None
         self.tick_count = 0
+        # dimension the last solved reading resolved; the next reading's
+        # dimension search starts here (indicators.evaluate_at, run_over)
+        self.resolved_n = self.n
 
     def advance_to(self, t_new: float, t: np.ndarray | None = None,
                    p: np.ndarray | None = None, dV: np.ndarray | None = None,
@@ -277,7 +282,10 @@ class MomentEngine:
         tick i0. A step whose one new tick arrives at times[k] adds that
         tick's arrival rows (_kernels.arrival_rows); any other step runs
         the general accumulate. The shift matrices of all steps come from
-        one vectorized build, then the state advances step by step.
+        one vectorized build, then the state advances step by step. A step
+        longer than the prune horizon leaves no unpruned mass, as
+        accumulate_block and resample_full count it: it sets the state to
+        zero and builds no shift matrix (the matrix would overflow).
         """
         times = np.asarray(times, dtype=np.float64)
         ends = np.asarray(ends, dtype=np.intp)
@@ -306,7 +314,8 @@ class MomentEngine:
             before = np.where(l > lo, t[l - 1],
                               t[lo] if self.last_t is None else self.last_t)
             added = _kernels.arrival_rows(t[l] - before, p[l], dV[l])
-        G = _shift_matrices(self.basis, gaps / self.tau, self.orders)
+        far = gaps > PRUNE_HORIZON * self.tau
+        G = _shift_matrices(self.basis, gaps[~far] / self.tau, self.orders)
         decay = np.exp(-gaps / self.tau)
 
         out = np.empty((len(times), 5, self.orders))
@@ -314,12 +323,18 @@ class MomentEngine:
         last = self.last_t
         has_ticks = self.tick_count > 0
         n_arrived = 0
+        g = 0                           # next near step's matrix in G
         steps = zip(times.tolist(), gaps.tolist(), decay.tolist(),
-                    starts.tolist(), ends.tolist(), arrival.tolist())
-        for k, (ts, gap, fade, a, b, arrives) in enumerate(steps):
-            if gap > 0 and has_ticks:
-                st[3] += gap * st[1]            # ages grow with the shift
-                st = fade * (st @ G[k].T)
+                    far.tolist(), starts.tolist(), ends.tolist(),
+                    arrival.tolist())
+        for k, (ts, gap, fade, gone, a, b, arrives) in enumerate(steps):
+            if gone:
+                st = np.zeros_like(st)
+            else:
+                if gap > 0 and has_ticks:
+                    st[3] += gap * st[1]        # ages grow with the shift
+                    st = fade * (st @ G[g].T)
+                g += 1
             if arrives:
                 st += added[:, n_arrived, None]
                 n_arrived += 1

@@ -163,3 +163,29 @@ def psi_weighted_average(ticks, t_now: float, tau: float, basis: BasisId,
         num += v * psi * psi * w * tk.dV
         den += psi * psi * w * tk.dV
     return num / den
+
+
+def laguerre_shift_recurrence(d: float, orders: int) -> np.ndarray:
+    """Laguerre shift matrix G, L_m(y + d) = sum_i G[m,i] L_i(y), by rows.
+
+    Runs the three-term recurrence L_{m+1} = ((2m+1-y')L_m - m L_{m-1})/(m+1)
+    at y' = y + d on coefficient vectors in the L_i(y) basis, multiplying
+    by y through y L_j = -j L_{j-1} + (2j+1) L_j - (j+1) L_{j+1}; no
+    closed form is used.
+    """
+    G = np.zeros((orders, orders))
+    G[0, 0] = 1.0
+    if orders == 1:
+        return G
+    G[1, 0] = -d
+    G[1, 1] = 1.0
+    for m in range(1, orders - 1):
+        gm, gp = G[m], G[m - 1]
+        for j in range(m + 2):
+            yv = (2 * j + 1) * gm[j]
+            if j > 0:
+                yv -= j * gm[j - 1]
+            if j + 1 < orders:
+                yv -= (j + 1) * gm[j + 1]
+            G[m + 1, j] = ((2 * m + 1 - d) * gm[j] - yv - m * gp[j]) / (m + 1)
+    return G

@@ -143,6 +143,7 @@ def test_time_of_day_input_needs_date(tmp_path):
     (("synth", "--duration", "nan"), "duration"),
     (("synth", "--duration", "inf"), "duration"),
     (("synth", "--spike", "10:nan:1"), "magnitude"),
+    (("run", "--grid", "1e-12"), "grid"),     # ~4e14 samples
 ])
 def test_bad_numeric_parameters_exit_2(tape, args, name):
     # none of these may hang, print NaN rows or end in a traceback
@@ -152,6 +153,20 @@ def test_bad_numeric_parameters_exit_2(tape, args, name):
     assert r.returncode == 2, r.stderr
     assert name in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_gaps_past_the_prune_horizon_run_clean(tmp_path):
+    # at tau 1e-300 every gap is past the horizon; a shift matrix built
+    # for such a gap would overflow and poison the solve
+    path = tmp_path / "short.csv"
+    assert run_cli("synth", "--seed", "7", "--rate", "2", "--duration",
+                   "100", "--output", str(path)).returncode == 0
+    for basis in ("laguerre", "legendre"):
+        r = run_cli("run", "--input", str(path), "--tau", "1e-300",
+                    "--basis", basis, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert "Traceback" not in r.stderr
+        assert len(r.stdout.splitlines()) > 150
 
 
 def test_synth_stdout_roundtrip():

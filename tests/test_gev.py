@@ -6,6 +6,9 @@ from conftest import make_stream, regular_stream
 from psima import (BasisId, DegenerateStateError, EmptyWindowError,
                    MeasureKind, MomentEngine, flow, gram, rayleigh,
                    solve_pencil, tick_arrays)
+from psima.basis import linearization_table, matrix_from_moments
+from psima.gev import _resolved, solve_stack
+from psima.synth import spike, steady
 
 
 def _random_pencil(rng, n, b_floor=0.1):
@@ -183,3 +186,42 @@ def test_sign_flip_changes_nothing_downstream():
     for s in dec.states:
         assert rayleigh(-s.alpha, A, B) == pytest.approx(
             rayleigh(s.alpha, A, B), rel=1e-14)
+
+
+@pytest.fixture(scope="module")
+def benchmark_tapes():
+    return {
+        # acceptance criterion 10 (psima synth --seed 7 --rate 1 --flow 100
+        # --price 100 --duration 10000)
+        "criterion10": tick_arrays(steady(1.0, 100.0, 100.0, 10000.0, 7)),
+        # the live_laguerre benchmark workload at seed 0
+        "live": tick_arrays(spike(steady(2.0, 100.0, 50.0, 3000.0, 5),
+                                  1500.0, 8.0, 30.0, 1.25)),
+    }
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+@pytest.mark.parametrize("tape", ["criterion10", "live"])
+def test_dimension_search_start_changes_nothing(benchmark_tapes, tape, basis):
+    n = 12
+    t, p, dV = benchmark_tapes[tape]
+    eng = MomentEngine(basis, n, 256.0)
+    rows = eng.advance_steps(t, t, p, dV, 0, np.arange(1, len(t) + 1))
+    ops = matrix_from_moments(rows[:, :4], n,
+                              linearization_table(basis, n - 1))
+    A, B, T = ops[:, 1], ops[:, 0], ops[:, 3]
+    # the resolution gate passes on a prefix of the dimensions of every
+    # pencil on the tape (interlacing), so any start finds the same one
+    flags = np.stack([_resolved(B[:, :m, :m], basis, m)
+                      for m in range(1, n + 1)], axis=1)
+    assert not (flags[:, 1:] & ~flags[:, :-1]).any()
+    assert not flags[:, -1].all()
+    # every start gives the same solutions bit for bit; every 8th pencil
+    # keeps the thirteen solves quick
+    A, B, T = A[::8], B[::8], T[::8]
+    ref = solve_stack(A, B, T, basis)
+    assert len(set(ref.effective_n.tolist())) > 2
+    for start in range(1, n + 1):
+        got = solve_stack(A, B, T, basis, start)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()

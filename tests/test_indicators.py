@@ -231,7 +231,7 @@ def test_long_grid_times_are_exact_multiples():
     assert acc != samples[-1].t_now  # a summed schedule ends elsewhere
 
 
-@pytest.mark.parametrize("grid", [0.0, -1.0, np.nan, np.inf, 1e-300])
+@pytest.mark.parametrize("grid", [0.0, -1.0, np.nan, np.inf, 1e-300, 1e-12])
 def test_bad_grid_steps_are_refused(grid):
     ticks = make_stream(5, 20)
     with pytest.raises(InputError, match="grid"):

@@ -10,6 +10,7 @@ from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
                    omega, resample_full, tick_arrays, x_of_t)
 from psima._kernels import (accumulate_block, arrival_rows, shift_matrices,
                             shift_matrix)
+from psima.basis import evaluate_all
 from psima.measure import PRUNE_HORIZON, _shift_matrices
 
 ALL_BASES = list(BasisId)
@@ -212,6 +213,27 @@ def test_engine_window_empties_past_horizon():
         eng.moments(MeasureKind.VOLUME_DV)
 
 
+@pytest.mark.parametrize("basis", ALL_BASES)
+def test_engine_after_a_quiet_spell_past_the_horizon(basis):
+    # a gap longer than the prune horizon leaves no unpruned mass; the
+    # engine clears its state rather than shifting it, which would carry
+    # a residue of the pruned ticks that resample_full does not count
+    tau = 8.0
+    ticks = make_stream(41, 120)
+    ticks[60:] = [Tick(tk.t + 1.1 * PRUNE_HORIZON * tau, tk.p, tk.dV)
+                  for tk in ticks[60:]]
+    t, p, dV = tick_arrays(ticks)
+    for n in (1, 60, 61, 90, 120):   # before, at and after the spell
+        eng = MomentEngine(basis, 6, tau)
+        eng.advance_steps(t[:n], t, p, dV, 0, np.arange(1, n + 1))
+        assert np.all(np.isfinite(eng.raw_rows()))
+        for measure in ALL_MEASURES:
+            ref = resample_full(ticks, t[n - 1], tau, basis, 11,
+                                measure).values
+            got = eng.moments(measure).values
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_engine_validation():
     with pytest.raises(CapabilityError):
         MomentEngine(BasisId.LAGUERRE, 26, 10.0)
@@ -247,6 +269,42 @@ def test_block_shift_builder_is_the_scalar_builder_bit_for_bit(basis):
         assert np.all(np.isfinite(ref))
         assert np.array_equal(block[k], ref)
         assert np.array_equal(np.signbit(block[k]), np.signbit(ref))
+
+
+# gaps in tau units: none, tiny, under one tau, past the prune horizon
+SHIFT_GAPS = [0.0, 1e-9, 0.73, 36.9, 41.5]
+
+
+@pytest.mark.parametrize("d", SHIFT_GAPS)
+def test_laguerre_closed_form_is_the_row_recurrence(d):
+    G = shift_matrix(BasisId.LAGUERRE, d, 23)
+    ref = oracles.laguerre_shift_recurrence(d, 23)
+    assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(G))
+    # lower-triangular Toeplitz with a unit diagonal
+    assert np.array_equal(G, np.tril(G))
+    for lag in range(23):
+        assert len(set(np.diagonal(G, -lag).tolist())) == 1
+    assert np.all(np.diagonal(G) == 1.0)
+
+
+@pytest.mark.parametrize("basis", ALL_BASES)
+@pytest.mark.parametrize("d", SHIFT_GAPS)
+def test_shift_matrix_moves_the_polynomials(basis, d):
+    # Q_m at the aged coordinate is the G-combination of Q_i at the old one
+    orders = 23
+    y = np.random.default_rng(17).uniform(0.0, 6.0, 40)   # age / tau
+    if basis is BasisId.LAGUERRE:
+        old, new = -y, -(y + d)
+    else:
+        old, new = np.exp(-y), np.exp(-y) * np.exp(-d)
+    Q = evaluate_all(basis, orders, old)
+    G = shift_matrix(basis, d, orders)
+    terms = G[:, :, None] * Q[None, :, :]
+    err = np.abs(terms.sum(axis=1) - evaluate_all(basis, orders, new))
+    # the recurrences lose digits near a root of Q_m, so each point is
+    # judged against its largest term over all orders
+    scale = np.abs(terms).max(axis=(0, 1))
+    assert np.all(err <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
