@@ -97,6 +97,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"psima: {exc}", file=sys.stderr)
         return 2
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        print(f"psima: input values overflow the moment arithmetic ({exc})",
+              file=sys.stderr)
+        return 2
 
 
 def _fmt(v: float) -> str:
@@ -104,13 +108,22 @@ def _fmt(v: float) -> str:
 
 
 def _cmd_run(args) -> int:
-    source = sys.stdin if args.input == "-" else args.input
+    if args.input == "-":
+        source = sys.stdin
+        if hasattr(source, "reconfigure"):
+            # as parse_csv reads a file: bad bytes name their line
+            source.reconfigure(encoding="utf-8", errors="surrogateescape")
+    else:
+        source = args.input
     ticks = parse_csv(source, date=args.date)
     if not ticks:
         raise InputError("input holds no ticks")
     basis = BasisId.parse(args.basis)
-    samples, degenerate = run_over(ticks, basis, args.n, args.tau,
-                                   grid=args.grid)
+    # a tape whose values overflow the moment arithmetic is bad input,
+    # not a run that prints inf or nan readings
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        samples, degenerate = run_over(ticks, basis, args.n, args.tau,
+                                       grid=args.grid)
     if not samples:
         print(f"psima: all {degenerate} samples numerically degenerate",
               file=sys.stderr)

@@ -14,7 +14,9 @@ truncation beats ridging here.
 
 solve_stack runs every gate over a stack of pencils at once, and only the
 pencils that fail at a dimension try the next one down; solve_pencil is
-solve_stack on a stack of one.
+solve_stack on a stack of one. A stack of one, as a live caller solves,
+walks the dimensions on Python ints instead of index arrays; both walks
+call the same gates.
 
 The first two gates, pivot and resolution, each pass on a prefix 1..r of
 the dimensions. The pivot gate is a running minimum and maximum of the
@@ -141,6 +143,19 @@ def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
     i_IH = np.zeros(K, dtype=np.intp)
     i_IL = np.zeros(K, dtype=np.intp)
     dims = _dims(B, basis, n if start is None else start)
+    if K == 1:
+        for m in range(int(dims[0]), 0, -1):
+            passed, w, al, top, low = _solve_dim(
+                A[:, :m, :m], B[:, :m, :m],
+                None if T is None else T[:, :m, :m])
+            if len(passed):
+                effective_n[0] = m
+                lambdas[0, :m] = w[0]
+                alphas[0, :m, :m] = al[0]
+                i_IH[0] = top[0]
+                i_IL[0] = low[0]
+                break
+        return PencilStack(effective_n, lambdas, alphas, i_IH, i_IL)
     todo = np.flatnonzero(dims)
     for m in range(int(dims.max(initial=0)), 0, -1):
         cand = todo[dims[todo] >= m]
@@ -187,6 +202,8 @@ def _dims(B: np.ndarray, basis: BasisId | None, start: int) -> np.ndarray:
     # quadratic-form ratio, so all bases compute the same number and
     # reduce their dimension at the same samples.
     h = min(max(int(start), 1), n)
+    if len(B) == 1:
+        return np.array([_dim_one(B, basis, h, int(top[0]))])
     dims = np.zeros(len(B), dtype=np.intp)
     down = np.flatnonzero(top <= h)
     up = np.flatnonzero(top > h)
@@ -207,6 +224,23 @@ def _dims(B: np.ndarray, basis: BasisId | None, start: int) -> np.ndarray:
         if not len(down):
             break
     return dims
+
+
+def _dim_one(B: np.ndarray, basis: BasisId, h: int, top: int) -> int:
+    """_dims' resolution search for a stack of one Gram, on Python ints.
+
+    ``top`` is the dimension its pivot gate passes to. Probes h + 1, then
+    upward while it passes; or h and downward to the first that passes.
+    """
+    if top > h and _resolved(B[:, :h + 1, :h + 1], basis, h + 1)[0]:
+        m = h + 1
+        while m < top and _resolved(B[:, :m + 1, :m + 1], basis, m + 1)[0]:
+            m += 1
+        return m
+    for m in range(min(h, top), 0, -1):
+        if _resolved(B[:, :m, :m], basis, m)[0]:
+            return m
+    return 0
 
 
 def _swap(X: np.ndarray) -> np.ndarray:

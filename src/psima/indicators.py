@@ -10,15 +10,15 @@ consumers treat it as the adaptive moving average output.
 
 The engine carries moments; this module turns a stack of engine snapshots
 into IndicatorSamples with one operator contraction and one stacked pencil
-solve. evaluate_at runs it on a stack of one, run_over on a whole tape in
-fixed blocks.
+solve. run_over runs it on a whole tape in fixed blocks; evaluate_at reads
+its one snapshot with the same arithmetic on Python scalars.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import floor, isfinite
+from math import floor, isfinite, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -193,16 +193,45 @@ def _samples(t_now, p_last, r: _Readings, which) -> list[IndicatorSample]:
 
 
 def evaluate_at(t_now: float, engine: MomentEngine) -> IndicatorSample:
-    """One IndicatorSample from an engine positioned at t_now."""
+    """One IndicatorSample from an engine positioned at t_now.
+
+    The fields _readings gives for a stack of one snapshot, bit for bit,
+    read without its per-stack bookkeeping.
+    """
     if engine.t_now is None or engine.t_now != t_now:
         raise InputError(f"engine is at t_now={engine.t_now}, asked {t_now}")
     engine.check_window()
-    r = _readings(engine.raw_rows()[None], engine)
-    if r.status[0] == _NO_VOLUME:
+    rows = engine.raw_rows()
+    vol0 = float(rows[1, 0])
+    if vol0 <= 0.0:
         raise NoVolumeError("window holds no traded volume")
-    if r.status[0] == _DEGENERATE:
-        raise DegenerateStateError("f_psi denominator vanished")
-    return _samples([t_now], [engine.p_last], r, [0])[0]
+    P_tau = float(rows[2, 0]) / vol0
+    T_tau = float(rows[3, 0]) / vol0
+    var = float(rows[4, 0]) / vol0 - P_tau * P_tau
+    p_std = sqrt(var if var > 0.0 else 0.0)
+    basis, n = engine.basis, engine.n
+    ops = matrix_from_moments(rows[None, :4], n,
+                              linearization_table(basis, n - 1))
+    sol = solve_stack(ops[:, 1], ops[:, 0], ops[:, 3], basis,
+                      engine.resolved_n)
+    m = int(sol.effective_n[0])
+    engine.resolved_n = m or engine.resolved_n
+    P_IH, T_IH, lambda_IH, lambda_IL = P_tau, T_tau, 0.0, 0.0
+    if m:
+        top, low = int(sol.i_IH[0]), int(sol.i_IL[0])
+        psi = sol.alphas[0, :m, top].copy()
+        M = ops[0, :, :m, :m]
+        den = float(psi @ M[1] @ psi)
+        if den == 0.0:
+            raise DegenerateStateError("f_psi denominator vanished")
+        P_IH = float(psi @ M[2] @ psi) / den
+        T_IH = float(psi @ M[3] @ psi) / den
+        lambda_IH = float(sol.lambdas[0, top])
+        lambda_IL = float(sol.lambdas[0, low])
+    return IndicatorSample(float(t_now), float(engine.p_last), P_tau, P_IH,
+                           lambda_IH, lambda_IL, T_IH, T_tau,
+                           P_IH,  # P_aver: the same quadratic-form ratio
+                           m, p_std)
 
 
 def run_over(ticks, basis: BasisId, n: int, tau: float,
@@ -218,8 +247,8 @@ def run_over(ticks, basis: BasisId, n: int, tau: float,
 
     The tape runs in blocks of _BLOCK samples: the engine steps through a
     block's sample times (MomentEngine.advance_steps), and the block's
-    readings are solved together (_readings), the same code evaluate_at
-    runs on a stack of one.
+    readings are solved together (_readings), with the arithmetic
+    evaluate_at runs on one snapshot.
     """
     t, p, dV = tick_arrays(ticks)
     if len(t) == 0:

@@ -5,8 +5,10 @@ header line, UTF-8, decimal points only. Time is either epoch seconds
 (fractional allowed) or HH:MM:SS[.fff] resolved against an explicit date.
 Rows must be nondecreasing in time; shares may be zero (such prints still
 advance the time measure) but never negative; prices are strictly
-positive. NaN and infinite values are rejected. All violations report
-the offending 1-based line number.
+positive. NaN and infinite values are rejected, and so are finite ones
+whose moment terms overflow: a time step t - t_prev or a p^2 dV that is
+not finite. A line that is not valid UTF-8 is rejected too. All
+violations report the offending 1-based line number.
 """
 
 from __future__ import annotations
@@ -45,9 +47,19 @@ def _time_of_day(field: str, date: str | None, lineno: int) -> float:
 def parse_csv(source, date: str | None = None) -> list[Tick]:
     """Read a tick tape; ``source`` is a path, or any iterable of lines."""
     if isinstance(source, (str, PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
+        # undecodable bytes become lone surrogates, refused by line below
+        with open(source, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
             return _parse_lines(fh, date)
     return _parse_lines(source, date)
+
+
+def _check_utf8(line: str, lineno: int) -> None:
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputError(f"line {lineno}: not valid UTF-8") from None
 
 
 def _parse_lines(lines: Iterable[str], date: str | None) -> list[Tick]:
@@ -57,6 +69,7 @@ def _parse_lines(lines: Iterable[str], date: str | None) -> list[Tick]:
         line = raw.strip()
         if not line:
             continue
+        _check_utf8(line, lineno)
         fields = line.split(",")
         if lineno == 1 and _looks_like_header(fields):
             continue
@@ -81,9 +94,15 @@ def _parse_lines(lines: Iterable[str], date: str | None) -> list[Tick]:
             raise InputError(f"line {lineno}: price must be positive, got {pf}")
         if dV < 0.0:
             raise InputError(f"line {lineno}: shares must be nonnegative, got {vf}")
+        if not math.isfinite(p * p * dV):
+            raise InputError(
+                f"line {lineno}: non-finite price * price * shares in {line!r}")
         if prev_t is not None and t < prev_t:
             raise InputError(
                 f"line {lineno}: time went backwards ({t} after {prev_t})")
+        if prev_t is not None and not math.isfinite(t - prev_t):
+            raise InputError(
+                f"line {lineno}: non-finite time step from {prev_t} to {t}")
         prev_t = t
         ticks.append(Tick(t=t, p=p, dV=dV))
     return ticks

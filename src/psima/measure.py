@@ -108,13 +108,29 @@ def tick_arrays(ticks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t, p, dV = arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy()
     if not (len(t) == len(p) == len(dV)):
         raise InputError("tick columns differ in length")
-    _check_finite(t, p, dV)
+    _check_ticks(t, p, dV)
     return t, p, dV
+
+
+_NOT_FINITE = "tick times, prices and shares must be finite"
+_OVERFLOW = "price * price * shares of a tick must be finite"
 
 
 def _check_finite(*columns: np.ndarray) -> None:
     if not all(np.isfinite(c).all() for c in columns):
-        raise InputError("tick times, prices and shares must be finite")
+        raise InputError(_NOT_FINITE)
+
+
+def _check_ticks(t: np.ndarray, p: np.ndarray, dV: np.ndarray) -> None:
+    """Refuse ticks with a non-finite field or a non-finite p^2 dV.
+
+    p^2 dV is the largest term a tick adds to the moment rows; where it
+    overflows, the rows and every reading after them would be inf or nan.
+    """
+    _check_finite(t, p, dV)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(p * p * dV).all():
+            raise InputError(_OVERFLOW)
 
 
 def _check_tau(tau: float) -> None:
@@ -172,14 +188,6 @@ def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
 # reference-time shift
 # ---------------------------------------------------------------------------
 
-def _shift_matrices(basis: BasisId, delta_over_tau, orders: int) -> np.ndarray:
-    """Stack of G with Q_m(x') = sum_i G[m,i] Q_i(x), one per shift delta."""
-    d = np.asarray(delta_over_tau, dtype=np.float64)
-    if len(d) == 1:
-        return _single_shift(basis, float(d[0]), orders)[None]
-    return _kernels.shift_matrices(basis, d, orders)
-
-
 @lru_cache(maxsize=512)
 def _single_shift(basis: BasisId, delta_over_tau: float,
                   orders: int) -> np.ndarray:
@@ -224,7 +232,7 @@ def advance_incremental(state: MomentVector, new_ticks, new_t_now: float, *,
     engine.t_now = state.t_now
     engine.last_t = None if t_prev is None else float(t_prev)
     engine.tick_count = 1  # the state holds mass, so the step shifts it
-    engine.advance_steps([float(new_t_now)], t, p, dV, 0, [len(t)])
+    engine.advance_to(new_t_now, t, p, dV, 0, len(t))
     return MomentVector(basis=state.basis, tau=state.tau,
                         t_now=float(new_t_now), measure=state.measure,
                         values=engine.state[_ROW[state.measure]].copy())
@@ -272,7 +280,7 @@ class MomentEngine:
                    p: np.ndarray | None = None, dV: np.ndarray | None = None,
                    i0: int = 0, i1: int = 0) -> None:
         """Move the reference time to t_new, absorbing ticks t[i0:i1]."""
-        self.advance_steps([float(t_new)], t, p, dV, i0, [max(i0, i1)])
+        self._step(float(t_new), t, p, dV, int(i0), max(int(i0), int(i1)))
 
     def advance_steps(self, times, t, p, dV, i0: int, ends) -> np.ndarray:
         """Step through sample times; the moment rows at each, (K, 5, orders).
@@ -286,15 +294,20 @@ class MomentEngine:
         longer than the prune horizon leaves no unpruned mass, as
         accumulate_block and resample_full count it: it sets the state to
         zero and builds no shift matrix (the matrix would overflow).
+
+        One sample time takes _step, the same step on Python scalars.
         """
         times = np.asarray(times, dtype=np.float64)
         ends = np.asarray(ends, dtype=np.intp)
+        if len(times) == 1:
+            self._step(float(times[0]), t, p, dV, int(i0), int(ends[0]))
+            return self.state[None].copy()
         if not len(times):
             return np.empty((0, 5, self.orders))
+        _check_finite(times)
         starts = _after(i0, ends)
         gaps = times - _after(times[0] if self.t_now is None else self.t_now,
                               times)
-        _check_finite(times)
         if (gaps < 0).any():
             raise InputError("engine time must be nondecreasing")
         new = ends - starts
@@ -303,7 +316,7 @@ class MomentEngine:
         lo, hi = int(i0), int(ends[-1])
         arrival = np.zeros(len(times), dtype=bool)
         if hi > lo:
-            _check_finite(t[lo:hi], p[lo:hi], dV[lo:hi])
+            _check_ticks(t[lo:hi], p[lo:hi], dV[lo:hi])
             busy = new > 0
             if (t[ends[busy] - 1] > times[busy]).any():
                 raise InputError("cannot absorb ticks after t_new")
@@ -315,8 +328,10 @@ class MomentEngine:
                               t[lo] if self.last_t is None else self.last_t)
             added = _kernels.arrival_rows(t[l] - before, p[l], dV[l])
         far = gaps > PRUNE_HORIZON * self.tau
-        G = _shift_matrices(self.basis, gaps[~far] / self.tau, self.orders)
-        decay = np.exp(-gaps / self.tau)
+        G = _kernels.shift_matrices(self.basis, gaps[~far] / self.tau,
+                                    self.orders)
+        # a far step's decay is never used, and its gap / tau may overflow
+        decay = np.exp(-np.where(far, 0.0, gaps) / self.tau)
 
         out = np.empty((len(times), 5, self.orders))
         st = self.state
@@ -353,6 +368,56 @@ class MomentEngine:
             self.p_last = float(p[hi - 1])
             self.tick_count += hi - lo
         return out
+
+    def _step(self, ts: float, t, p, dV, a: int, b: int) -> None:
+        """One step of advance_steps: to time ts, absorbing ticks a..b-1.
+
+        The checks, gates and arithmetic of the block path, on Python
+        scalars and without its index arrays, so a live caller pays for
+        one step only. The state bits equal the block path's.
+        """
+        if not isfinite(ts):
+            raise InputError(_NOT_FINITE)
+        gap = 0.0 if self.t_now is None else ts - self.t_now
+        if gap < 0:
+            raise InputError("engine time must be nondecreasing")
+        if b < a:
+            raise InputError("tick ranges must not run backwards")
+        arrives = False
+        if b > a:
+            if b - a == 1:
+                ta, pa, va = float(t[a]), float(p[a]), float(dV[a])
+                if not (isfinite(ta) and isfinite(pa) and isfinite(va)):
+                    raise InputError(_NOT_FINITE)
+                if not isfinite(pa * pa * va):
+                    raise InputError(_OVERFLOW)
+                arrives = ta == ts
+            else:
+                _check_ticks(t[a:b], p[a:b], dV[a:b])
+            if t[b - 1] > ts:
+                raise InputError("cannot absorb ticks after t_new")
+        st = self.state
+        if gap > PRUNE_HORIZON * self.tau:
+            st = np.zeros_like(st)
+        elif gap > 0 and self.tick_count > 0:
+            st[3] += gap * st[1]        # ages grow with the shift
+            G = _single_shift(self.basis, gap / self.tau, self.orders)
+            st = float(np.exp(-gap / self.tau)) * (st @ G.T)
+        if arrives:
+            dt = ta - (ta if self.last_t is None else self.last_t)
+            st += np.array([[dt], [va], [pa * va], [0.0 * va],
+                            [pa * pa * va]])
+        elif b > a:
+            _kernels.accumulate_block(t, p, dV, a, b,
+                                      t[a] if self.last_t is None
+                                      else self.last_t, ts,
+                                      self.tau, self.basis, st)
+        self.state = st
+        self.t_now = ts
+        if b > a:
+            self.last_t = float(t[b - 1])
+            self.p_last = float(p[b - 1])
+            self.tick_count += b - a
 
     def window_empty(self) -> bool:
         if self.tick_count == 0 or self.t_now is None:

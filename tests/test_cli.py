@@ -1,8 +1,16 @@
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psima import cli
 
 HEADER = "t,p_last,P_tau,P_IH,lambda_IH,lambda_IL,T_IH,T_tau,P_aver,effective_n"
 
@@ -69,6 +77,22 @@ def test_malformed_input_exits_2(tmp_path):
     r = run_cli("run", "--input", str(bad))
     assert r.returncode == 2
     assert "line 2" in r.stderr
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_input_names_the_line(tmp_path, source):
+    body = b"1,100,5\n2,100,5\n3,1\xe900,5\n"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(body)
+    r = subprocess.run(
+        [sys.executable, "-m", "psima.cli", "run", "--input",
+         str(path) if source == "file" else "-"],
+        input=None if source == "file" else body, capture_output=True,
+        timeout=120)
+    err = r.stderr.decode("utf-8", "replace")
+    assert r.returncode == 2, err
+    assert "line 3: not valid UTF-8" in err
+    assert "Traceback" not in err
 
 
 def test_time_reversal_exits_2(tmp_path):
@@ -196,3 +220,64 @@ def test_log_env_smoke(tape):
     r = run_cli("run", "--input", str(tape), "--tau", "64",
                 env_extra={"PSIMA_LOG": "debug"})
     assert r.returncode == 0
+
+
+# Fields a tape may carry besides ordinary numbers: non-finite, subnormal,
+# huge, negative and garbage.
+WILD = st.sampled_from([
+    "nan", "inf", "-inf", "NaN", "1e999", "5e-324", "2.2e-308", "1e-310",
+    "1e150", "1e200", "1e300", "1.7976931348623157e308",
+    "-1.7976931348623157e308", "-1", "-0.0", "0", "-1e-320", "abc", "",
+    "1,2", "0x10", "1_000", "é", "12:00:00",
+])
+# ordinary values two times in three, extreme ones otherwise
+PRICES = st.one_of(st.floats(1e-3, 1e4).map(repr),
+                   st.floats(1e-3, 1e4).map(repr),
+                   st.sampled_from(["5e-324", "1e-300", "1e150"]))
+SHARES = st.one_of(st.floats(0.0, 1e6).map(repr),
+                   st.floats(0.0, 1e6).map(repr),
+                   st.sampled_from(["0", "5e-324", "1e-300", "1e300"]))
+GAPS = st.sampled_from([0.0, 1e-9, 0.5, 1.0, 7.0, 1e4, 0.5, 1.0, 1e300])
+
+
+@st.composite
+def wild_tapes(draw):
+    """A short tape of mostly valid rows with a few wild fields."""
+    t = draw(st.sampled_from([0.0, -1e300, 1e9]))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        t += draw(GAPS)
+        rows.append([repr(t), draw(PRICES), draw(SHARES)])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 2))] = draw(WILD)
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+# bounded to keep tier-1 fast; a sweep of 3,000 examples passes as well
+@settings(max_examples=60, deadline=None)
+@given(tape=wild_tapes(),
+       basis=st.sampled_from(["laguerre", "legendre", "chebyshev"]),
+       n=st.sampled_from(["1", "3", "12"]),
+       tau=st.sampled_from(["1e-300", "2", "256", "1e300"]),
+       extra=st.sampled_from([[], ["--std"], ["--grid", "0.75"]]))
+def test_run_on_wild_tapes_exits_cleanly(tape, basis, n, tau, extra):
+    # in-process, so an exception or warning escaping main fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "tape.csv")
+        out = os.path.join(tmp, "out.csv")
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write(tape)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--input", src, "--output", out,
+                             "--basis", basis, "--n", n, "--tau", tau]
+                            + extra)
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            with open(out, encoding="utf-8") as fh:
+                rows = fh.read().splitlines()[1:]
+            assert rows
+            for row in rows:
+                assert all(math.isfinite(float(v)) for v in row.split(","))

@@ -221,7 +221,19 @@ def test_dimension_search_start_changes_nothing(benchmark_tapes, tape, basis):
     A, B, T = A[::8], B[::8], T[::8]
     ref = solve_stack(A, B, T, basis)
     assert len(set(ref.effective_n.tolist())) > 2
+    # a stack of one walks the dimensions on its own path; every 10th of
+    # those pencils, and each whose dimension differs from the one before
+    # (where the probes around the start disagree), must match its row
+    dims = ref.effective_n
+    one = sorted(set(range(0, len(B), 10))
+                 | set(np.flatnonzero(dims[1:] != dims[:-1]) + 1))
+    assert len(set(dims[one].tolist())) > 2
     for start in range(1, n + 1):
         got = solve_stack(A, B, T, basis, start)
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
+        for k in one:
+            got = solve_stack(A[k:k + 1], B[k:k + 1], T[k:k + 1], basis,
+                              start)
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b[k:k + 1].tobytes(), (start, k)

@@ -239,7 +239,8 @@ def test_bad_grid_steps_are_refused(grid):
 
 
 @pytest.mark.parametrize("bad", [(2, np.nan, 10.0), (2, 100.0, np.inf),
-                                 (np.nan, 100.0, 10.0)])
+                                 (np.nan, 100.0, 10.0),
+                                 (2, 1e200, 1e200)])  # p * p * dV overflows
 def test_non_finite_ticks_are_refused(bad):
     # a NaN share would otherwise reach every later sample as NaN readings
     ticks = [Tick(1.0, 100.0, 10.0), Tick(*bad), Tick(3.0, 100.0, 10.0)]

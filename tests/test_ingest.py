@@ -36,10 +36,16 @@ def test_time_of_day_with_date():
 
 
 @pytest.mark.parametrize("row", ["nan,100.0,10", "2,inf,10", "2,100.0,nan",
-                                 "2,100.0,-inf", "2,100.0,inf"])
+                                 "2,100.0,-inf", "2,100.0,inf",
+                                 "2,1e200,1e200"])    # p * p * dV overflows
 def test_non_finite_values_name_the_line(row):
     with pytest.raises(InputError, match="line 2: non-finite"):
         parse_csv(io.StringIO(f"1,100.0,5\n{row}\n3,101.0,5\n"))
+
+
+def test_overflowing_time_step_names_the_line():
+    with pytest.raises(InputError, match="line 2: non-finite time step"):
+        parse_csv(io.StringIO("-1e308,100.0,5\n1e308,100.0,5\n"))
 
 
 def test_time_of_day_without_date_errors():

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import laguerre as nplag
 
 import oracles
 from conftest import make_stream, rel_err
 from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
                    MeasureKind, MomentEngine, Tick, advance_incremental,
                    omega, resample_full, tick_arrays, x_of_t)
-from psima._kernels import (accumulate_block, arrival_rows, shift_matrices,
-                            shift_matrix)
+from psima._kernels import (PRUNE_OMEGA, accumulate_block, arrival_rows,
+                            shift_matrices, shift_matrix)
 from psima.basis import evaluate_all
-from psima.measure import PRUNE_HORIZON, _shift_matrices
+from psima.measure import _ROW, PRUNE_HORIZON, _single_shift
+from psima.synth import steady
 
 ALL_BASES = list(BasisId)
 ALL_MEASURES = list(MeasureKind)
@@ -310,11 +312,11 @@ def test_shift_matrix_moves_the_polynomials(basis, d):
 @pytest.mark.parametrize("basis", ALL_BASES)
 def test_single_gap_shift_is_cached_and_read_only(basis):
     # a live stream advances one gap at a time; repeated gaps reuse G
-    G1 = _shift_matrices(basis, [0.125], 23)
-    G2 = _shift_matrices(basis, [0.125], 23)
+    G1 = _single_shift(basis, 0.125, 23)
+    G2 = _single_shift(basis, 0.125, 23)
     assert np.shares_memory(G1, G2)
     assert not G1.flags.writeable
-    assert np.array_equal(G1[0], shift_matrix(basis, 0.125, 23))
+    assert np.array_equal(G1, shift_matrix(basis, 0.125, 23))
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
@@ -334,3 +336,132 @@ def test_arrival_rows_are_the_accumulate_at_age_zero(basis):
                          64.0, basis, out)
         assert np.array_equal(out, np.repeat(rows[:, l, None], orders,
                                              axis=1))
+
+
+def _step_schedule(tau):
+    """A tape and (time, end) steps covering every kind of engine step.
+
+    The first tick; a repeated timestamp; zero-share prints; steps of
+    several ticks, one of them a late tick absorbed after its arrival; a
+    pure shift with no tick; and a gap past the prune horizon.
+    """
+    ticks = make_stream(61, 60)
+    ticks[5] = Tick(ticks[4].t, 101.5, ticks[5].dV)          # equal times
+    ticks[8] = Tick(ticks[8].t, ticks[8].p, 0.0)              # zero shares
+    ticks[9] = Tick(ticks[9].t, ticks[9].p, 0.0)
+    ticks[40:] = [Tick(tk.t + 1.2 * PRUNE_HORIZON * tau, tk.p, tk.dV)
+                  for tk in ticks[40:]]                       # quiet spell
+    t, p, dV = tick_arrays(ticks)
+    steps = [(t[k], k + 1) for k in range(20)]
+    steps += [(t[20] + 0.25, 21)]              # one tick, after its arrival
+    steps += [(t[20] + 0.5, 21)]               # no tick: a pure shift
+    steps += [(t[24], 25), (t[29] + 0.5, 30)]  # four ticks, then five
+    steps += [(t[k], k + 1) for k in range(30, 45)]
+    steps += [(t[47] + 0.1, 48), (t[-1], 60)]
+    return t, p, dV, steps
+
+
+@pytest.mark.parametrize("basis", ALL_BASES)
+def test_one_step_advance_is_the_block_step_bit_for_bit(basis):
+    tau = 4.0
+    t, p, dV, steps = _step_schedule(tau)
+    times = np.array([ts for ts, _ in steps])
+    ends = np.array([b for _, b in steps])
+    block = MomentEngine(basis, 6, tau)
+    rows = block.advance_steps(times, t, p, dV, 0, ends)
+    one = MomentEngine(basis, 6, tau)
+    seen = {"arrival": 0, "accumulate": 0, "far": 0}
+    prev = 0
+    for k, (ts, b) in enumerate(steps):
+        gap = ts - one.t_now if one.t_now is not None else 0.0
+        seen["far"] += gap > PRUNE_HORIZON * tau
+        seen["arrival"] += b - prev == 1 and t[prev] == ts
+        seen["accumulate"] += b - prev > 1 or (b - prev == 1 and t[prev] < ts)
+        one.advance_to(ts, t, p, dV, prev, b)
+        assert one.raw_rows().tobytes() == rows[k].tobytes(), k
+        prev = b
+    assert all(seen.values()), seen
+    assert one.raw_rows().tobytes() == block.raw_rows().tobytes()
+    assert (one.t_now, one.last_t, one.p_last, one.tick_count) == (
+        block.t_now, block.last_t, block.p_last, block.tick_count)
+    # a block of one step takes the one-step path and returns its rows
+    again = MomentEngine(basis, 6, tau)
+    for k, (ts, b) in enumerate(steps):
+        got = again.advance_steps([ts], t, p, dV, ends[k - 1] if k else 0,
+                                  [b])
+        assert got.shape == (1, 5, 11)
+        assert got.tobytes() == rows[k].tobytes()
+
+
+def _bad_steps(t):
+    """(name, i0, time, end, column patch) steps the engine must refuse."""
+    return [
+        ("nan time", 3, np.nan, 4, None),
+        ("inf time", 3, np.inf, 4, None),
+        ("time backwards", 3, t[1], 4, None),
+        ("range backwards", 3, t[3], 2, None),
+        ("tick after time", 3, t[3], 5, None),
+        ("nan price", 3, t[3], 4, ("p", 3, np.nan)),
+        ("inf shares", 3, t[4], 5, ("dV", 4, np.inf)),
+        ("nan time in a block", 3, t[5], 6, ("t", 4, np.nan)),
+        ("p*p*dV overflows", 3, t[3], 4, ("p", 3, 1e200)),
+        ("p*p*dV overflows in a block", 3, t[5], 6, ("dV", 4, 1e306)),
+    ]
+
+
+@pytest.mark.parametrize("name", [c[0] for c in _bad_steps(np.zeros(10))])
+def test_one_step_advance_refuses_what_the_block_refuses(name):
+    base = tick_arrays(make_stream(67, 10))
+    _, i0, ts, b, patch = next(c for c in _bad_steps(base[0]) if c[0] == name)
+    cols = dict(zip("t p dV".split(), (c.copy() for c in base)))
+    if patch:
+        cols[patch[0]][patch[1]] = patch[2]
+    t, p, dV = cols["t"], cols["p"], cols["dV"]
+    messages = []
+    for steps in ([ts], [t[2], ts]):            # one step; a block of two
+        eng = MomentEngine(BasisId.CHEBYSHEV, 4, 16.0)
+        eng.advance_to(base[0][2], *base, 0, 3)
+        before = eng.raw_rows().copy()
+        with pytest.raises(InputError) as err:
+            eng.advance_steps(steps, t, p, dV, i0, [i0] * (len(steps) - 1)
+                              + [b])
+        messages.append(str(err.value))
+        assert np.array_equal(eng.raw_rows(), before), name
+        assert eng.t_now == base[0][2] and eng.tick_count == 3, name
+    assert messages[0] == messages[1], name
+
+
+def test_laguerre_engine_is_the_unpruned_sum_and_resample_drops_the_prune():
+    # criterion-10 tape, laguerre, n 12, tau 256: by the last tick the
+    # first ticks lie past the prune horizon. Their weight e^{-y} is under
+    # 1e-16, but a Laguerre moment weighs them by e^{-y} L_m(y), and L_m
+    # grows like e^{y/2}: pruning them drops ~2.6e-9 of the moments. The
+    # engine never prunes a shifted state, so it is the unpruned sum.
+    ticks = steady(1.0, 100.0, 100.0, 10000.0, 7)
+    t, p, dV = tick_arrays(ticks)
+    n, tau = 12, 256.0
+    orders = 2 * n - 1
+    eng = MomentEngine(BasisId.LAGUERRE, n, tau)
+    eng.advance_steps(t, t, p, dV, 0, np.arange(1, len(t) + 1))
+    # the float sum over every tick, with numpy's own Laguerre values
+    age = t[-1] - t
+    w = np.exp(-age / tau)
+    assert (w < PRUNE_OMEGA).sum() > 500
+    terms = np.stack([np.diff(t, prepend=t[0]), dV, p * dV, age * dV,
+                      p * p * dV]) * w
+    V = nplag.lagvander(age / tau, orders - 1)
+    unpruned = terms @ V
+    pruned_mass = (terms * (w < PRUNE_OMEGA)) @ V
+    scale = np.abs(unpruned).max(axis=1)
+    engine_gap = np.abs(eng.raw_rows() - unpruned).max(axis=1) / scale
+    assert np.all(engine_gap < 1e-13)
+    mass = np.abs(pruned_mass).max(axis=1) / scale
+    assert np.all((mass > 1e-9) & (mass < 1e-7))
+    for measure in ALL_MEASURES:
+        row = _ROW[measure]
+        full = resample_full(ticks, t[-1], tau, BasisId.LAGUERRE, orders,
+                             measure).values
+        # resample_full is the unpruned sum less the pruned mass
+        assert np.abs(full - unpruned[row]).max() > 1e-9 * scale[row]
+        assert (np.abs(full - (unpruned[row] - pruned_mass[row])).max()
+                < 1e-13 * scale[row])
