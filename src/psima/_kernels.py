@@ -1,4 +1,4 @@
-"""Hot kernels: tick accumulation and the shift-matrix recurrences.
+"""Hot kernels: tick accumulation and the shift matrices.
 
 Moment state is a (5, M) array whose rows are the window moments
 
@@ -12,8 +12,13 @@ with M = 2n-1 polynomial orders. Ticks older than ~36.8 tau carry
 omega < 1e-16 and are skipped.
 
 shift_matrices works on one matrix per gap along the leading axis, so a
-whole block of samples costs one call; shift_matrix builds a single one
-and is the bit-for-bit reference for the stack.
+whole block of samples costs one call; shift_matrix builds a single one,
+equal bit for bit to its matrix in a stack.
+
+The exponential bases scale their argument by s = exp(-d), and Q_m(s x)
+has degree m in x, so G = Q(s X) Q(X)^-1 at any ``orders`` distinct nodes
+X. At the Chebyshev points of the first kind Q(X) is well conditioned
+(Trefethen, Approximation Theory and Approximation Practice, ch. 3, 15).
 
 The Laguerre shift needs no recurrence over matrix rows. By the addition
 theorem (DLMF 18.18.12 with alpha = 0, beta = -1)
@@ -98,82 +103,42 @@ def _lags(orders):
 def shift_matrix(basis, d, orders):
     """G with Q_m(x') = sum_i G[m,i] Q_i(x) after the window ages by d*tau.
 
-    Laguerre shifts its linear argument, y -> y + d, and G is the Toeplitz
-    gather of the closed-form g. The exponential bases scale theirs by
-    s = exp(-d); their rows follow the three-term recurrences with the
-    argument substituted, so row m never reaches past column m. The
-    values a loop reads are kept as Python floats, which the interpreter
-    reads several times faster than array elements.
+    Laguerre's g is formed on Python floats; the exponential bases take
+    shift_matrices on a stack of one.
     """
-    if basis is BasisId.LAGUERRE:
-        g = [1.0] + [0.0] * orders
-        a, b = 1.0, 0.0              # L^{(1)}_{j-1}(d), L^{(1)}_{j-2}(d)
-        for j in range(1, orders):
-            g[j] = -(d / j) * a
-            a, b = ((2 * j - d) * a - j * b) / j, a
-        return np.array(g)[_lags(orders)]
-    G = np.zeros((orders, orders))
-    G[0, 0] = 1.0
-    if orders == 1:
-        return G
-    gp = [0.0] * orders
-    gp[0] = 1.0
-    gm = [0.0] * orders
-    legendre = basis is BasisId.SHIFTED_LEGENDRE
-    s = float(np.exp(-d))
-    sm1 = s - 1.0
-    gm[0] = sm1
-    gm[1] = s
-    G[1, 0] = gm[0]
-    G[1, 1] = gm[1]
-    # (u*v)[j] = lo[j] v[j-1] + hi[j] v[j+1]
-    lo = [0.0] * orders
-    hi = [0.0] * orders
-    for j in range(orders):
-        if legendre:
-            lo[j] = j / (2 * j - 1) if j > 0 else 0.0
-            hi[j] = (j + 1) / (2 * j + 3)
-        else:
-            lo[j] = 1.0 if j == 1 else 0.5
-            hi[j] = 0.5
-    for m in range(1, orders - 1):
-        row = [0.0] * orders
-        for j in range(m + 2):
-            uv = 0.0
-            if j > 0:
-                uv += lo[j] * gm[j - 1]
-            if j + 1 < orders:
-                uv += hi[j] * gm[j + 1]
-            if legendre:
-                row[j] = ((2 * m + 1) * (s * uv + sm1 * gm[j])
-                          - m * gp[j]) / (m + 1)
-            else:
-                row[j] = 2.0 * (s * uv + sm1 * gm[j]) - gp[j]
-            G[m + 1, j] = row[j]
-        gp = gm
-        gm = row
-    return G
+    if basis is not BasisId.LAGUERRE:
+        return shift_matrices(basis, [d], orders)[0]
+    g = [1.0] + [0.0] * orders
+    a, b = 1.0, 0.0              # L^{(1)}_{j-1}(d), L^{(1)}_{j-2}(d)
+    for j in range(1, orders):
+        g[j] = -(d / j) * a
+        a, b = ((2 * j - d) * a - j * b) / j, a
+    return np.array(g)[_lags(orders)]
 
 
-# Below this many gaps a per-gap build beats the vectorized one, whose
-# fixed cost is a few hundred numpy calls whatever the block size.
-_FEW_GAPS = 2
+@lru_cache(maxsize=None)
+def _nodes(basis, orders):
+    """Chebyshev points X of the first kind on [0, 1], Q(X)^-1, and the
+    mask of the entries above the diagonal.
+    """
+    x = 0.5 + 0.5 * np.cos((np.arange(orders) + 0.5) * (np.pi / orders))
+    inv = np.linalg.inv(evaluate_all(basis, orders, x))
+    upper = np.triu(np.ones((orders, orders), dtype=bool), 1)
+    for a in (x, inv, upper):
+        a.flags.writeable = False
+    return x, inv, upper
 
 
 def shift_matrices(basis, d, orders):
     """Stack of shift_matrix(basis, d[k], orders), one per gap.
 
-    The same floating-point operations as the scalar builder, run over all
-    gaps at once (and, for the exponential bases, over the columns of a
-    row), so every matrix equals the scalar builder's bit for bit. Row
-    m + 1 of an exponential basis is formed on columns 0..m+1 only, as the
-    scalar loop forms it; terms that would read the zeros past column
-    m + 1 of row m add nothing and are left out.
+    Laguerre gathers the closed-form g of every gap, with the scalar
+    builder's operations. An exponential basis evaluates Q at the scaled
+    nodes of every gap and multiplies by the cached Q(X)^-1. Row m stops
+    at column m, and row 0 is exactly e_0 (Q_0 = 1), so every order-0
+    moment shifts by the window decay alone.
     """
     d = np.asarray(d, dtype=np.float64)
-    if len(d) <= _FEW_GAPS:
-        return np.array([shift_matrix(basis, dk, orders)
-                         for dk in d.tolist()]).reshape(len(d), orders, orders)
     if basis is BasisId.LAGUERRE:
         g = np.zeros((len(d), orders + 1))
         g[:, 0] = 1.0
@@ -182,36 +147,15 @@ def shift_matrices(basis, d, orders):
             g[:, j] = -(d / j) * a
             a, b = ((2 * j - d) * a - j * b) / j, a
         return g[:, _lags(orders)]
-    G = np.zeros((len(d), orders, orders))
+    x, inv, upper = _nodes(basis, orders)
+    # G is allocated before Q, so that in run_over's block loop the
+    # allocator keeps Q's pages for the next block instead of returning
+    # them (otherwise about 500 page faults per 256 gaps). One small
+    # product per gap: one product over all gaps is threaded by the BLAS,
+    # and on a busy machine its threads wait for a free core.
+    G = np.empty((len(d), orders, orders))
+    Q = evaluate_all(basis, orders, np.exp(-d)[:, None] * x)
+    np.matmul(Q.swapaxes(0, 1), inv, out=G)
+    np.copyto(G, 0.0, where=upper)
     G[:, 0, 0] = 1.0
-    if orders == 1:
-        return G
-    j = np.arange(orders, dtype=np.float64)
-    legendre = basis is BasisId.SHIFTED_LEGENDRE
-    s = np.exp(-d)[:, None]
-    sm1 = s - 1.0
-    G[:, 1, 0] = sm1[:, 0]
-    G[:, 1, 1] = s[:, 0]
-    if legendre:
-        # (u*v)[j] = j/(2j-1) v[j-1] + (j+1)/(2j+3) v[j+1]
-        lo = j[1:] / (2.0 * j[1:] - 1.0)
-        hi = j[1:] / (2.0 * j[:-1] + 3.0)
-    else:
-        # (u*v)[j] = c v[j-1] + 0.5 v[j+1], c = 1 at j = 1 else 0.5
-        lo = np.full(orders - 1, 0.5)
-        lo[0] = 1.0
-        hi = np.full(orders - 1, 0.5)
-    buf = np.zeros((len(d), orders))
-    for m in range(1, orders - 1):
-        w = m + 2
-        gm = G[:, m, :w]
-        uv = buf[:, :w]
-        uv[:, 0] = 0.0
-        np.add(0.0, lo[:w - 1] * gm[:, :-1], out=uv[:, 1:])
-        uv[:, :-1] += hi[:w - 1] * gm[:, 1:]
-        if legendre:
-            G[:, m + 1, :w] = ((2 * m + 1) * (s * uv + sm1 * gm)
-                               - m * G[:, m - 1, :w]) / (m + 1)
-        else:
-            G[:, m + 1, :w] = 2.0 * (s * uv + sm1 * gm) - G[:, m - 1, :w]
     return G

@@ -113,6 +113,17 @@ _MAX_GRID_SAMPLES = 10**8
 
 _OK, _NO_VOLUME, _DEGENERATE = 0, 1, 2
 
+# Readings compute with float errors raised, so a tape whose values
+# overflow the moment arithmetic is refused, not read as inf or nan.
+_RAISE = dict(over="raise", invalid="raise", divide="raise")
+_OVERFLOWS = (FloatingPointError, np.linalg.LinAlgError)
+
+
+def _overflow(first: float, last: float, exc: Exception) -> InputError:
+    at = repr(first) if first == last else f"{first!r} to {last!r}"
+    return InputError(f"values at sample time {at} overflow the moment "
+                      f"arithmetic ({exc})")
+
 
 class _Readings(NamedTuple):
     status: np.ndarray      # _OK, _NO_VOLUME or _DEGENERATE per sample
@@ -196,11 +207,22 @@ def evaluate_at(t_now: float, engine: MomentEngine) -> IndicatorSample:
     """One IndicatorSample from an engine positioned at t_now.
 
     The fields _readings gives for a stack of one snapshot, bit for bit,
-    read without its per-stack bookkeeping.
+    read without its per-stack bookkeeping, and refused as run_over
+    refuses it where the moments overflow the readings' arithmetic.
     """
     if engine.t_now is None or engine.t_now != t_now:
         raise InputError(f"engine is at t_now={engine.t_now}, asked {t_now}")
     engine.check_window()
+    t_now = float(t_now)
+    try:
+        with np.errstate(**_RAISE):
+            return _reading(t_now, engine)
+    except _OVERFLOWS as exc:
+        raise _overflow(t_now, t_now, exc) from None
+
+
+def _reading(t_now: float, engine: MomentEngine) -> IndicatorSample:
+    """evaluate_at's reading; the caller raises float errors."""
     rows = engine.raw_rows()
     vol0 = float(rows[1, 0])
     if vol0 <= 0.0:
@@ -228,7 +250,10 @@ def evaluate_at(t_now: float, engine: MomentEngine) -> IndicatorSample:
         T_IH = float(psi @ M[3] @ psi) / den
         lambda_IH = float(sol.lambdas[0, top])
         lambda_IL = float(sol.lambdas[0, low])
-    return IndicatorSample(float(t_now), float(engine.p_last), P_tau, P_IH,
+    # Python floats overflow to inf without a floating-point error
+    if not all(map(isfinite, (P_tau, T_tau, var, P_IH, T_IH))):
+        raise FloatingPointError("overflow in the readings")
+    return IndicatorSample(t_now, float(engine.p_last), P_tau, P_IH,
                            lambda_IH, lambda_IL, T_IH, T_tau,
                            P_IH,  # P_aver: the same quadratic-form ratio
                            m, p_std)
@@ -243,7 +268,8 @@ def run_over(ticks, basis: BasisId, n: int, tau: float,
     time; each is formed from k, so no rounding accumulates along a long
     tape. A step giving more than _MAX_GRID_SAMPLES (10^8) samples raises
     InputError. Samples where the window is empty, volume-free, or
-    spectrally degenerate are skipped and counted.
+    spectrally degenerate are skipped and counted. Values that overflow
+    the moment arithmetic raise InputError naming the block's times.
 
     The tape runs in blocks of _BLOCK samples: the engine steps through a
     block's sample times (MomentEngine.advance_steps), and the block's
@@ -253,41 +279,51 @@ def run_over(ticks, basis: BasisId, n: int, tau: float,
     t, p, dV = tick_arrays(ticks)
     if len(t) == 0:
         raise InputError("empty tick stream")
-    if np.any(np.diff(t) < 0):
+    if (t[1:] < t[:-1]).any():
         raise InputError("tick times must be nondecreasing")
     engine = MomentEngine(basis, n, tau)
-    if grid is None:
-        times = t
-        ends = np.arange(1, len(t) + 1)
-    else:
-        t0, last = float(t[0]), float(t[-1])
+    # the span of sample times an overflow is reported in; each block
+    # narrows it to its own
+    first, last = float(t[0]), float(t[-1])
+    if grid is not None:
         if not (isfinite(grid) and grid > 0 and last + grid > last):
             raise InputError(f"grid step must be finite, positive and "
                              f"advance the clock, got {grid!r}")
-        steps = (last - t0) / grid
+        steps = (last - first) / grid
         if not steps < _MAX_GRID_SAMPLES:
             raise InputError(f"grid step {grid!r} asks for {steps + 1:.3g} "
                              f"samples, over the limit of "
                              f"{_MAX_GRID_SAMPLES:.0e}")
-        times = t0 + np.arange(floor(steps) + 1) * grid
-        times = times[times <= last]
-        ends = np.searchsorted(t, times, side="right")
     horizon = PRUNE_HORIZON * engine.tau
     samples: list[IndicatorSample] = []
     degenerate = 0
-    for b0 in range(0, len(times), _BLOCK):
-        b1 = min(b0 + _BLOCK, len(times))
-        rows = engine.advance_steps(times[b0:b1], t, p, dV,
-                                    int(ends[b0 - 1]) if b0 else 0,
-                                    ends[b0:b1])
-        last_tick = ends[b0:b1] - 1
-        # the window is empty once its last tick is past the horizon
-        inside = np.flatnonzero(~(times[b0:b1] - t[last_tick] > horizon))
-        r = _readings(rows[inside], engine)
-        good = np.flatnonzero(r.status == _OK)
-        degenerate += (b1 - b0) - len(good)
-        keep = inside[good]
-        samples += _samples(times[b0:b1][keep], p[last_tick[keep]], r, good)
+    try:
+        with np.errstate(**_RAISE):
+            if grid is None:
+                times = t
+                ends = np.arange(1, len(t) + 1)
+            else:
+                times = first + np.arange(floor(steps) + 1) * grid
+                times = times[times <= last]
+                ends = np.searchsorted(t, times, side="right")
+            for b0 in range(0, len(times), _BLOCK):
+                b1 = min(b0 + _BLOCK, len(times))
+                first, last = float(times[b0]), float(times[b1 - 1])
+                rows = engine.advance_steps(times[b0:b1], t, p, dV,
+                                            int(ends[b0 - 1]) if b0 else 0,
+                                            ends[b0:b1])
+                last_tick = ends[b0:b1] - 1
+                # the window is empty once its last tick is past the horizon
+                inside = np.flatnonzero(
+                    ~(times[b0:b1] - t[last_tick] > horizon))
+                r = _readings(rows[inside], engine)
+                good = np.flatnonzero(r.status == _OK)
+                degenerate += (b1 - b0) - len(good)
+                keep = inside[good]
+                samples += _samples(times[b0:b1][keep], p[last_tick[keep]],
+                                    r, good)
+    except _OVERFLOWS as exc:
+        raise _overflow(first, last, exc) from None
     if degenerate:
         log.info("skipped %d degenerate samples of %d", degenerate,
                  degenerate + len(samples))

@@ -19,8 +19,9 @@ Two ways to obtain moments at a timestamp:
   window coordinate affinely (x' = s*x for the exponential coordinate,
   y' = y + delta/tau for the linear one), so Q_m at the new coordinate is an
   exact linear combination of Q_0..Q_m at the old one. The combination
-  matrix G comes from the three-term recurrences (for Laguerre, from the
-  addition theorem in closed form); no per-tick history is needed. The age
+  matrix G comes from the addition theorem in closed form for Laguerre,
+  and for the exponential bases from interpolation at cached Chebyshev
+  nodes (see _kernels); no per-tick history is needed. The age
   measure additionally couples to volume since
   (t_new - t) = (t_old_now - t) + delta. A shift longer than the prune
   horizon leaves no unpruned mass, so it clears the state instead.
@@ -28,7 +29,7 @@ Two ways to obtain moments at a timestamp:
 The engine absorbs a tick at its own arrival time when it can: there the
 age is 0 and Q_m = 1 in every family, so the tick adds one constant per
 row and needs no polynomial evaluation. The shift matrices of many steps
-are built in one vectorized recurrence (``MomentEngine.advance_steps``).
+are built in one vectorized call (``MomentEngine.advance_steps``).
 """
 
 from __future__ import annotations

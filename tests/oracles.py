@@ -189,3 +189,44 @@ def laguerre_shift_recurrence(d: float, orders: int) -> np.ndarray:
                 yv -= (j + 1) * gm[j + 1]
             G[m + 1, j] = ((2 * m + 1 - d) * gm[j] - yv - m * gp[j]) / (m + 1)
     return G
+
+
+def exponential_shift_recurrence(basis: BasisId, d: float,
+                                 orders: int) -> np.ndarray:
+    """Legendre or Chebyshev shift matrix G, Q_m(s x) = sum_i G[m,i] Q_i(x).
+
+    s = exp(-d). Runs the family's three-term recurrence at the scaled
+    argument on coefficient vectors in the Q_i(x) basis: with u = 2x - 1,
+    2 s x - 1 = s u + (s - 1), and u Q_j is re-expanded through
+    u P_j = (j P_{j-1} + (j+1) P_{j+1}) / (2j+1) or
+    u T_j = (T_{j-1} + T_{j+1}) / 2; no interpolation is used.
+    """
+    G = np.zeros((orders, orders))
+    G[0, 0] = 1.0
+    if orders == 1:
+        return G
+    legendre = basis is BasisId.SHIFTED_LEGENDRE
+    s = math.exp(-d)
+    G[1, 0] = s - 1.0
+    G[1, 1] = s
+    # (u*v)[j] = lo[j] v[j-1] + hi[j] v[j+1]
+    if legendre:
+        lo = [j / (2 * j - 1) if j > 0 else 0.0 for j in range(orders)]
+        hi = [(j + 1) / (2 * j + 3) for j in range(orders)]
+    else:
+        lo = [1.0 if j == 1 else 0.5 for j in range(orders)]
+        hi = [0.5] * orders
+    for m in range(1, orders - 1):
+        gm, gp = G[m], G[m - 1]
+        for j in range(m + 2):
+            uv = 0.0
+            if j > 0:
+                uv += lo[j] * gm[j - 1]
+            if j + 1 < orders:
+                uv += hi[j] * gm[j + 1]
+            sv = s * uv + (s - 1.0) * gm[j]
+            if legendre:
+                G[m + 1, j] = ((2 * m + 1) * sv - m * gp[j]) / (m + 1)
+            else:
+                G[m + 1, j] = 2.0 * sv - gp[j]
+    return G

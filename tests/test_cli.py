@@ -212,8 +212,9 @@ def test_selftest_passes_and_reports():
     r = run_cli("selftest")
     assert r.returncode == 0, r.stdout + r.stderr
     lines = r.stdout.splitlines()
-    assert sum(ln.startswith("ok ") for ln in lines) == 6
-    assert lines[-1] == "all 6 checks passed"
+    assert sum(ln.startswith("ok ") for ln in lines) == 7
+    assert "ok shift-matrix-identity" in lines
+    assert lines[-1] == "all 7 checks passed"
 
 
 def test_log_env_smoke(tape):

@@ -341,3 +341,33 @@ def test_phi_average_is_price_reading(stream400):
     Mp = weighted(pv, n).entries[:m, :m]
     Mv = flow(vol, n).entries[:m, :m]
     assert phi_average(dec, Mp, Mv) == f_psi(dec.states[dec.i_IH], Mp, Mv)
+
+
+# tapes whose readings overflow float64: a time step of 1e300 s puts
+# 1e300 into the time moments, and the pencil's products overflow
+OVERFLOW_TAPES = {
+    "0,100,0 / 1e300,100,5": [Tick(0.0, 100.0, 0.0), Tick(1e300, 100.0, 5.0)],
+    "1e300,100,5 / 2e300,100,5": [Tick(1e300, 100.0, 5.0),
+                                  Tick(2e300, 100.0, 5.0)],
+}
+
+
+@pytest.mark.parametrize("tape", OVERFLOW_TAPES)
+@pytest.mark.parametrize("n", [12, 1])
+def test_overflowing_tapes_are_refused(tape, n):
+    ticks = OVERFLOW_TAPES[tape]
+    with pytest.raises(InputError, match="overflow the moment arithmetic"):
+        run_over(ticks, BasisId.LAGUERRE, n, 2.0)
+    t, p, dV = tick_arrays(ticks)
+    eng = MomentEngine(BasisId.LAGUERRE, n, 2.0)
+    refused = []
+    for l in range(len(t)):
+        eng.advance_to(t[l], t, p, dV, l, l + 1)
+        try:
+            evaluate_at(t[l], eng)
+        except NoVolumeError:
+            pass
+        except InputError as exc:
+            assert repr(float(t[l])) in str(exc)
+            refused.append(l)
+    assert refused

@@ -11,7 +11,7 @@ from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
                    omega, resample_full, tick_arrays, x_of_t)
 from psima._kernels import (PRUNE_OMEGA, accumulate_block, arrival_rows,
                             shift_matrices, shift_matrix)
-from psima.basis import evaluate_all
+from psima.basis import evaluate_all, max_model_order
 from psima.measure import _ROW, PRUNE_HORIZON, _single_shift
 from psima.synth import steady
 
@@ -277,16 +277,31 @@ def test_block_shift_builder_is_the_scalar_builder_bit_for_bit(basis):
 SHIFT_GAPS = [0.0, 1e-9, 0.73, 36.9, 41.5]
 
 
+def _shift_recurrence(basis, d, orders):
+    if basis is BasisId.LAGUERRE:
+        return oracles.laguerre_shift_recurrence(d, orders)
+    return oracles.exponential_shift_recurrence(basis, d, orders)
+
+
+@pytest.mark.parametrize("basis", ALL_BASES)
+@pytest.mark.parametrize("orders", [1, 2, 3, 23, 149])
 @pytest.mark.parametrize("d", SHIFT_GAPS)
-def test_laguerre_closed_form_is_the_row_recurrence(d):
-    G = shift_matrix(BasisId.LAGUERRE, d, 23)
-    ref = oracles.laguerre_shift_recurrence(d, 23)
-    assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(G))
-    # lower-triangular Toeplitz with a unit diagonal
+def test_shift_matrix_is_the_row_recurrence(basis, orders, d):
+    orders = min(orders, 2 * max_model_order(basis) - 1)  # laguerre: 49
+    G = shift_matrix(basis, d, orders)
+    ref = _shift_recurrence(basis, d, orders)
+    # interpolation loses a little more for the exponential bases past
+    # one tau, where the fade e^-d scales the shifted moments down
+    tol = 1e-13 if d <= 1.0 or basis is BasisId.LAGUERRE else 1e-11
+    assert np.max(np.abs(G - ref)) <= tol * np.max(np.abs(G))
+    # row m never reaches past column m, and Q_0 = 1 shifts to itself
     assert np.array_equal(G, np.tril(G))
-    for lag in range(23):
-        assert len(set(np.diagonal(G, -lag).tolist())) == 1
-    assert np.all(np.diagonal(G) == 1.0)
+    assert np.array_equal(G[0], np.eye(orders)[0])
+    if basis is BasisId.LAGUERRE:
+        # lower-triangular Toeplitz with a unit diagonal
+        for lag in range(orders):
+            assert len(set(np.diagonal(G, -lag).tolist())) == 1
+        assert np.all(np.diagonal(G) == 1.0)
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
