@@ -75,17 +75,6 @@ def accumulate_block(t, p, dV, i0, i1, t_prev0, t_now, tau, basis, out):
     out[4] += Q @ (pk * pk * wdV)
 
 
-def arrival_rows(dt, p, dV):
-    """Moment rows each tick adds when absorbed at its own arrival time.
-
-    There the age is 0 and the window weight 1, and Q_m = 1 for every
-    family (L_m(0) = P_m(1) = T_m(1) = 1), so a tick adds one constant per
-    row to every order: (dt, dV, p dV, 0, p^2 dV), the terms the general
-    accumulate forms at age 0. Returns shape (5, K) for K ticks.
-    """
-    return np.stack([dt, dV, p * dV, 0.0 * dV, p * p * dV])
-
-
 @lru_cache(maxsize=None)
 def _lags(orders):
     """Lag m - i of each entry G[m, i]; above the diagonal, ``orders``.

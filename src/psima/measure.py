@@ -26,10 +26,10 @@ Two ways to obtain moments at a timestamp:
   (t_new - t) = (t_old_now - t) + delta. A shift longer than the prune
   horizon leaves no unpruned mass, so it clears the state instead.
 
-The engine absorbs a tick at its own arrival time when it can: there the
-age is 0 and Q_m = 1 in every family, so the tick adds one constant per
-row and needs no polynomial evaluation. The shift matrices of many steps
-are built in one vectorized call (``MomentEngine.advance_steps``).
+Every engine step runs one body (``MomentEngine._step``). A tick absorbed
+at its own arrival time has age 0 and Q_m = 1 in every family, so it adds
+one constant per row and needs no polynomial evaluation. ``advance_steps``
+builds the shift matrices of many steps in one vectorized call.
 """
 
 from __future__ import annotations
@@ -107,8 +107,7 @@ def tick_arrays(ticks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             return (np.empty(0), np.empty(0), np.empty(0))
         arr = np.asarray(ticks, dtype=np.float64)
         t, p, dV = arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy()
-    if not (len(t) == len(p) == len(dV)):
-        raise InputError("tick columns differ in length")
+    _check_range(t, p, dV, 0, len(t))
     _check_ticks(t, p, dV)
     return t, p, dV
 
@@ -132,6 +131,15 @@ def _check_ticks(t: np.ndarray, p: np.ndarray, dV: np.ndarray) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(p * p * dV).all():
             raise InputError(_OVERFLOW)
+
+
+def _check_range(t, p, dV, a: int, b: int) -> None:
+    """Refuse a tick range a..b-1 that the tick columns do not hold."""
+    if not len(t) == len(p) == len(dV):
+        raise InputError("tick columns differ in length")
+    if a < 0 or b > len(t):
+        raise InputError(f"tick range {a}:{b} lies outside the "
+                         f"{len(t)} ticks")
 
 
 def _check_tau(tau: float) -> None:
@@ -239,14 +247,6 @@ def advance_incremental(state: MomentVector, new_ticks, new_t_now: float, *,
                         values=engine.state[_ROW[state.measure]].copy())
 
 
-def _after(first, a: np.ndarray) -> np.ndarray:
-    """``first`` followed by all but the last entry of ``a``."""
-    out = np.empty_like(a)
-    out[0] = first
-    out[1:] = a[:-1]
-    return out
-
-
 class MomentEngine:
     """Streaming accumulator for all five moment rows of one (basis, n, tau).
 
@@ -280,103 +280,12 @@ class MomentEngine:
     def advance_to(self, t_new: float, t: np.ndarray | None = None,
                    p: np.ndarray | None = None, dV: np.ndarray | None = None,
                    i0: int = 0, i1: int = 0) -> None:
-        """Move the reference time to t_new, absorbing ticks t[i0:i1]."""
-        self._step(float(t_new), t, p, dV, int(i0), max(int(i0), int(i1)))
+        """Move the reference time to t_new, absorbing ticks i0..i1-1.
 
-    def advance_steps(self, times, t, p, dV, i0: int, ends) -> np.ndarray:
-        """Step through sample times; the moment rows at each, (K, 5, orders).
-
-        Step k moves the reference time to times[k] and absorbs the ticks
-        before index ends[k] that no earlier step absorbed, starting from
-        tick i0. A step whose one new tick arrives at times[k] adds that
-        tick's arrival rows (_kernels.arrival_rows); any other step runs
-        the general accumulate. The shift matrices of all steps come from
-        one vectorized build, then the state advances step by step. A step
-        longer than the prune horizon leaves no unpruned mass, as
-        accumulate_block and resample_full count it: it sets the state to
-        zero and builds no shift matrix (the matrix would overflow).
-
-        One sample time takes _step, the same step on Python scalars.
+        The checks of advance_steps on Python scalars, so a live caller
+        pays for one step only; the state bits equal advance_steps'.
         """
-        times = np.asarray(times, dtype=np.float64)
-        ends = np.asarray(ends, dtype=np.intp)
-        if len(times) == 1:
-            self._step(float(times[0]), t, p, dV, int(i0), int(ends[0]))
-            return self.state[None].copy()
-        if not len(times):
-            return np.empty((0, 5, self.orders))
-        _check_finite(times)
-        starts = _after(i0, ends)
-        gaps = times - _after(times[0] if self.t_now is None else self.t_now,
-                              times)
-        if (gaps < 0).any():
-            raise InputError("engine time must be nondecreasing")
-        new = ends - starts
-        if (new < 0).any():
-            raise InputError("tick ranges must not run backwards")
-        lo, hi = int(i0), int(ends[-1])
-        arrival = np.zeros(len(times), dtype=bool)
-        if hi > lo:
-            _check_ticks(t[lo:hi], p[lo:hi], dV[lo:hi])
-            busy = new > 0
-            if (t[ends[busy] - 1] > times[busy]).any():
-                raise InputError("cannot absorb ticks after t_new")
-            one = np.flatnonzero(new == 1)
-            arrival[one] = t[starts[one]] == times[one]
-            # the arrival ticks, each with the time of the tick before it
-            l = starts[arrival]
-            before = np.where(l > lo, t[l - 1],
-                              t[lo] if self.last_t is None else self.last_t)
-            added = _kernels.arrival_rows(t[l] - before, p[l], dV[l])
-        far = gaps > PRUNE_HORIZON * self.tau
-        G = _kernels.shift_matrices(self.basis, gaps[~far] / self.tau,
-                                    self.orders)
-        # a far step's decay is never used, and its gap / tau may overflow
-        decay = np.exp(-np.where(far, 0.0, gaps) / self.tau)
-
-        out = np.empty((len(times), 5, self.orders))
-        st = self.state
-        last = self.last_t
-        has_ticks = self.tick_count > 0
-        n_arrived = 0
-        g = 0                           # next near step's matrix in G
-        steps = zip(times.tolist(), gaps.tolist(), decay.tolist(),
-                    far.tolist(), starts.tolist(), ends.tolist(),
-                    arrival.tolist())
-        for k, (ts, gap, fade, gone, a, b, arrives) in enumerate(steps):
-            if gone:
-                st = np.zeros_like(st)
-            else:
-                if gap > 0 and has_ticks:
-                    st[3] += gap * st[1]        # ages grow with the shift
-                    st = fade * (st @ G[g].T)
-                g += 1
-            if arrives:
-                st += added[:, n_arrived, None]
-                n_arrived += 1
-            elif b > a:
-                _kernels.accumulate_block(t, p, dV, a, b,
-                                          t[a] if last is None else last, ts,
-                                          self.tau, self.basis, st)
-            if b > a:
-                has_ticks = True
-                last = float(t[b - 1])
-            out[k] = st
-        self.state = st
-        self.t_now = float(times[-1])
-        if hi > lo:
-            self.last_t = float(t[hi - 1])
-            self.p_last = float(p[hi - 1])
-            self.tick_count += hi - lo
-        return out
-
-    def _step(self, ts: float, t, p, dV, a: int, b: int) -> None:
-        """One step of advance_steps: to time ts, absorbing ticks a..b-1.
-
-        The checks, gates and arithmetic of the block path, on Python
-        scalars and without its index arrays, so a live caller pays for
-        one step only. The state bits equal the block path's.
-        """
+        ts, a, b = float(t_new), int(i0), int(i1)
         if not isfinite(ts):
             raise InputError(_NOT_FINITE)
         gap = 0.0 if self.t_now is None else ts - self.t_now
@@ -384,35 +293,107 @@ class MomentEngine:
             raise InputError("engine time must be nondecreasing")
         if b < a:
             raise InputError("tick ranges must not run backwards")
-        arrives = False
         if b > a:
+            _check_range(t, p, dV, a, b)
             if b - a == 1:
                 ta, pa, va = float(t[a]), float(p[a]), float(dV[a])
                 if not (isfinite(ta) and isfinite(pa) and isfinite(va)):
                     raise InputError(_NOT_FINITE)
                 if not isfinite(pa * pa * va):
                     raise InputError(_OVERFLOW)
-                arrives = ta == ts
             else:
                 _check_ticks(t[a:b], p[a:b], dV[a:b])
             if t[b - 1] > ts:
                 raise InputError("cannot absorb ticks after t_new")
-        st = self.state
         if gap > PRUNE_HORIZON * self.tau:
-            st = np.zeros_like(st)
-        elif gap > 0 and self.tick_count > 0:
-            st[3] += gap * st[1]        # ages grow with the shift
+            G, fade = None, 0.0
+        else:
             G = _single_shift(self.basis, gap / self.tau, self.orders)
-            st = float(np.exp(-gap / self.tau)) * (st @ G.T)
-        if arrives:
-            dt = ta - (ta if self.last_t is None else self.last_t)
-            st += np.array([[dt], [va], [pa * va], [0.0 * va],
-                            [pa * pa * va]])
+            fade = float(np.exp(-gap / self.tau))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._step(ts, gap, fade, G, t, p, dV, a, b)
+
+    def advance_steps(self, times, t, p, dV, i0: int, ends) -> np.ndarray:
+        """Step through sample times; the moment rows at each, (K, 5, orders).
+
+        Step k moves the reference time to times[k] and absorbs the ticks
+        before index ends[k] that no earlier step absorbed, starting from
+        tick i0. The whole block is checked first, and the shift matrices
+        of all its steps come from one vectorized build; then _step
+        advances the state step by step. A refused block leaves the
+        engine as it was.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        ends = np.asarray(ends, dtype=np.intp)
+        if not len(times):
+            return np.empty((0, 5, self.orders))
+        _check_finite(times)
+        starts = np.concatenate(([i0], ends[:-1]))
+        gaps = np.diff(times, prepend=times[0] if self.t_now is None
+                       else self.t_now)
+        if (gaps < 0).any():
+            raise InputError("engine time must be nondecreasing")
+        if (ends < starts).any():
+            raise InputError("tick ranges must not run backwards")
+        lo, hi = int(i0), int(ends[-1])
+        if hi > lo:
+            _check_range(t, p, dV, lo, hi)
+            _check_ticks(t[lo:hi], p[lo:hi], dV[lo:hi])
+            busy = ends > starts
+            if (t[ends[busy] - 1] > times[busy]).any():
+                raise InputError("cannot absorb ticks after t_new")
+        far = gaps > PRUNE_HORIZON * self.tau
+        near = iter(_kernels.shift_matrices(self.basis, gaps[~far] / self.tau,
+                                            self.orders))
+        # a far step's decay is never used, and its gap / tau may overflow
+        decay = np.exp(-np.where(far, 0.0, gaps) / self.tau)
+        out = np.empty((len(times), 5, self.orders))
+        saved = dict(vars(self))
+        steps = zip(times.tolist(), gaps.tolist(), decay.tolist(),
+                    far.tolist(), starts.tolist(), ends.tolist())
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, (ts, gap, fade, gone, a, b) in enumerate(steps):
+                    self._step(ts, gap, fade, None if gone else next(near),
+                               t, p, dV, a, b)
+                    out[k] = self.state
+        except InputError:
+            vars(self).update(saved)
+            raise
+        return out
+
+    def _step(self, ts: float, gap: float, fade: float, G, t, p, dV,
+              a: int, b: int) -> None:
+        """The step body of advance_to and advance_steps, after their checks.
+
+        Shifts the state by ``gap`` to time ts with the window decay
+        ``fade`` and shift matrix G, or clears it where G is None (a step
+        past the prune horizon), then absorbs ticks a..b-1. A tick that
+        arrives at ts has age 0 and Q_m = 1 in every family (L_m(0) =
+        P_m(1) = T_m(1) = 1), so it adds one constant per row, the terms
+        accumulate_block forms at age 0. The step works on a copy and
+        refuses rows that overflow, so a refused step changes nothing; the
+        callers turn overflow warnings off.
+        """
+        if G is None:
+            st = np.zeros_like(self.state)
+        else:
+            st = self.state.copy()
+            if gap > 0 and self.tick_count > 0:
+                st[3] += gap * st[1]            # ages grow with the shift
+                st = fade * (st @ G.T)
+        if b - a == 1 and t[a] == ts:
+            pa, va = float(p[a]), float(dV[a])
+            dt = ts - (ts if self.last_t is None else self.last_t)
+            st += np.array([dt, va, pa * va, 0.0 * va, pa * pa * va])[:, None]
         elif b > a:
             _kernels.accumulate_block(t, p, dV, a, b,
                                       t[a] if self.last_t is None
                                       else self.last_t, ts,
                                       self.tau, self.basis, st)
+        if not np.isfinite(st).all():
+            raise InputError(f"values at sample time {ts!r} overflow the "
+                             f"moment arithmetic")
         self.state = st
         self.t_now = ts
         if b > a:

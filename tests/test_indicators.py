@@ -6,9 +6,9 @@ from conftest import make_stream, regular_stream, rel_err
 from psima import (BasisId, DegenerateStateError, EmptyWindowError,
                    InputError, MeasureKind, MomentEngine, NoVolumeError, Tick,
                    WaveFunction, ema_price, age_tau, evaluate_at, f_psi, flow,
-                   gram, phi_average, resample_full, run_over, solve_pencil,
-                   tick_arrays, weighted)
-from psima.measure import PRUNE_HORIZON
+                   gram, parse_csv, phi_average, resample_full, run_over,
+                   solve_pencil, tick_arrays, weighted)
+from psima.measure import PRUNE_HORIZON, _single_shift
 
 
 def _run_engine(ticks, basis=BasisId.SHIFTED_LEGENDRE, n=8, tau=64.0):
@@ -213,6 +213,27 @@ def test_run_over_equals_live_streaming(basis, grid):
         assert skipped > 0  # empty windows in the quiet spell
     if basis is BasisId.LAGUERRE:
         assert any(0 < s.effective_n < n for s in samples)
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+def test_live_stream_of_a_millisecond_tape_reuses_its_shifts(basis):
+    # HH:MM:SS.fff timestamps step by whole milliseconds, so the gaps of a
+    # live stream repeat and its shift matrices come from the cache, which
+    # hands out read-only arrays the engine step must not write into
+    lines = []
+    for tk in make_stream(71, 300, dt_lo=0.0, dt_hi=0.02, t0=34200.0):
+        ms = round(tk.t * 1000)
+        h, ms = divmod(ms, 3_600_000)
+        m, ms = divmod(ms, 60_000)
+        lines.append(f"{h:02d}:{m:02d}:{ms // 1000:02d}.{ms % 1000:03d},"
+                     f"{tk.p},{tk.dV}")
+    ticks = parse_csv(lines, date="2024-03-05")
+    hits = _single_shift.cache_info().hits
+    ref, ref_skipped = _stream_samples(ticks, basis, 6, 0.5)
+    assert _single_shift.cache_info().hits > hits
+    samples, skipped = run_over(ticks, basis, 6, 0.5)
+    assert skipped == ref_skipped
+    assert samples == ref
 
 
 def test_long_grid_times_are_exact_multiples():

@@ -9,8 +9,8 @@ from conftest import make_stream, rel_err
 from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
                    MeasureKind, MomentEngine, Tick, advance_incremental,
                    omega, resample_full, tick_arrays, x_of_t)
-from psima._kernels import (PRUNE_OMEGA, accumulate_block, arrival_rows,
-                            shift_matrices, shift_matrix)
+from psima._kernels import (PRUNE_OMEGA, accumulate_block, shift_matrices,
+                            shift_matrix)
 from psima.basis import evaluate_all, max_model_order
 from psima.measure import _ROW, PRUNE_HORIZON, _single_shift
 from psima.synth import steady
@@ -343,14 +343,16 @@ def test_arrival_rows_are_the_accumulate_at_age_zero(basis):
     ticks[9] = Tick(ticks[9].t, ticks[9].p, 0.0)
     ticks[10] = Tick(ticks[10].t, ticks[10].p, 0.0)
     t, p, dV = tick_arrays(ticks)
-    orders = 23
-    rows = arrival_rows(np.diff(t, prepend=t[0]), p, dV)
     for l in range(len(t)):
-        out = np.zeros((5, orders))
+        out = np.zeros((5, 23))
         accumulate_block(t, p, dV, l, l + 1, t[l - 1] if l else t[0], t[l],
                          64.0, basis, out)
-        assert np.array_equal(out, np.repeat(rows[:, l, None], orders,
-                                             axis=1))
+        # an empty engine that has seen the tick before l: the step adds
+        # tick l's arrival rows to a zero state
+        eng = MomentEngine(basis, 12, 64.0)
+        eng.last_t = float(t[l - 1]) if l else None
+        eng.advance_to(t[l], t, p, dV, l, l + 1)
+        assert np.array_equal(eng.raw_rows(), out)
 
 
 def _step_schedule(tau):
@@ -409,12 +411,19 @@ def test_one_step_advance_is_the_block_step_bit_for_bit(basis):
 
 
 def _bad_steps(t):
-    """(name, i0, time, end, column patch) steps the engine must refuse."""
+    """(name, i0, time, end, column patch) steps the engine must refuse.
+
+    A patch (column, k, value) sets entry k of the column to value, or
+    with value None cuts the column to its first k entries.
+    """
     return [
         ("nan time", 3, np.nan, 4, None),
         ("inf time", 3, np.inf, 4, None),
         ("time backwards", 3, t[1], 4, None),
         ("range backwards", 3, t[3], 2, None),
+        ("range before the ticks", -1, t[3], 4, None),
+        ("range past the ticks", 3, t[9], 11, None),
+        ("columns differ in length", 3, t[3], 4, ("p", 9, None)),
         ("tick after time", 3, t[3], 5, None),
         ("nan price", 3, t[3], 4, ("p", 3, np.nan)),
         ("inf shares", 3, t[4], 5, ("dV", 4, np.inf)),
@@ -430,20 +439,50 @@ def test_one_step_advance_refuses_what_the_block_refuses(name):
     _, i0, ts, b, patch = next(c for c in _bad_steps(base[0]) if c[0] == name)
     cols = dict(zip("t p dV".split(), (c.copy() for c in base)))
     if patch:
-        cols[patch[0]][patch[1]] = patch[2]
+        column, k, value = patch
+        if value is None:
+            cols[column] = cols[column][:k]
+        else:
+            cols[column][k] = value
     t, p, dV = cols["t"], cols["p"], cols["dV"]
     messages = []
-    for steps in ([ts], [t[2], ts]):            # one step; a block of two
+    # advance_to; a block of one step; a block of two
+    for steps in (None, [ts], [t[2], ts]):
         eng = MomentEngine(BasisId.CHEBYSHEV, 4, 16.0)
         eng.advance_to(base[0][2], *base, 0, 3)
         before = eng.raw_rows().copy()
         with pytest.raises(InputError) as err:
-            eng.advance_steps(steps, t, p, dV, i0, [i0] * (len(steps) - 1)
-                              + [b])
+            if steps is None:
+                eng.advance_to(ts, t, p, dV, i0, b)
+            else:
+                eng.advance_steps(steps, t, p, dV, i0,
+                                  [i0] * (len(steps) - 1) + [b])
         messages.append(str(err.value))
         assert np.array_equal(eng.raw_rows(), before), name
         assert eng.t_now == base[0][2] and eng.tick_count == 3, name
-    assert messages[0] == messages[1], name
+    assert len(set(messages)) == 1, (name, messages)
+
+
+@pytest.mark.parametrize("basis", ALL_BASES)
+def test_a_step_whose_moments_overflow_is_refused(basis):
+    # at tau 1e300 a gap of 1e300 s lies inside the prune horizon, and the
+    # ages it adds, 1e300 s on 1e300 shares, overflow the age row
+    t, p, dV = np.array([0.0, 1e300]), np.ones(2), np.array([1e300, 1.0])
+    live = MomentEngine(basis, 4, 1e300)
+    live.advance_to(0.0, t, p, dV, 0, 1)
+    rows = live.raw_rows().copy()
+    with pytest.raises(InputError, match=r"sample time 1e\+300 overflow"):
+        live.advance_to(1e300, t, p, dV, 1, 2)
+    assert live.raw_rows().tobytes() == rows.tobytes()
+    assert (live.t_now, live.last_t, live.p_last, live.tick_count) == (
+        0.0, 0.0, 1.0, 1)
+    # a refused block leaves the engine as it was before the block
+    block = MomentEngine(basis, 4, 1e300)
+    with pytest.raises(InputError, match=r"sample time 1e\+300 overflow"):
+        block.advance_steps([0.0, 1e300], t, p, dV, 0, [1, 2])
+    assert not block.raw_rows().any()
+    assert (block.t_now, block.last_t, block.p_last, block.tick_count) == (
+        None, None, None, 0)
 
 
 def test_laguerre_engine_is_the_unpruned_sum_and_resample_drops_the_prune():
