@@ -14,9 +14,8 @@ truncation beats ridging here.
 
 solve_stack runs every gate over a stack of pencils at once, and only the
 pencils that fail at a dimension try the next one down; solve_pencil is
-solve_stack on a stack of one. A stack of one, as a live caller solves,
-walks the dimensions on Python ints instead of index arrays; both walks
-call the same gates.
+solve_stack on a stack of one. The dimension search and the reduction
+are the same code for a live stack of one and a block of many.
 
 The first two gates, pivot and resolution, each pass on a prefix 1..r of
 the dimensions. The pivot gate is a running minimum and maximum of the
@@ -27,8 +26,8 @@ of the whitened n-by-n one, and by Cauchy interlacing (Horn & Johnson,
 Matrix Analysis, 4.3) the extreme eigenvalues of a leading block lie
 inside those of the whole: its conditioning can only fall as m falls.
 So the search for r need not start at n. It starts where the caller's
-last solve stopped, probes that dimension and the one above, and walks
-on only where that bracket fails.
+last solve stopped, probes that dimension and the one above on the whole
+stack, and walks on only for the pencils that bracket does not settle.
 """
 
 from __future__ import annotations
@@ -183,9 +182,9 @@ def _dims(B: np.ndarray, basis: BasisId | None, start: int) -> np.ndarray:
 
     0 where even the 1-by-1 Gram fails. Both gates pass on a prefix of
     the dimensions (see the module docstring), so the resolution gate is
-    probed at start + 1 and start first, and then only upward from
-    pencils that pass at start + 1 or downward from those that fail at
-    start.
+    probed on the whole stack at start + 1 and then upward while pencils
+    pass, and at start and then downward for the pencils that fail; a
+    dimension no searching pencil's pivot gate reaches is not probed.
     """
     n = B.shape[-1]
     # pivot gate of every leading dimension at once: column m-1 holds the
@@ -202,45 +201,26 @@ def _dims(B: np.ndarray, basis: BasisId | None, start: int) -> np.ndarray:
     # quadratic-form ratio, so all bases compute the same number and
     # reduce their dimension at the same samples.
     h = min(max(int(start), 1), n)
-    if len(B) == 1:
-        return np.array([_dim_one(B, basis, h, int(top[0]))])
+    # masks over the whole stack; count_nonzero is the cheapest test of
+    # a small mask, and a live stack of one runs this walk on every tick
     dims = np.zeros(len(B), dtype=np.intp)
-    down = np.flatnonzero(top <= h)
-    up = np.flatnonzero(top > h)
-    for m in range(h + 1, n + 1):
-        if not len(up):
-            break
-        ok = _resolved(B[up, :m, :m], basis, m)
-        if m == h + 1:
-            down = np.concatenate([down, up[~ok]])
-        up = up[ok]
+    up = top > h
+    m = h
+    while np.count_nonzero(up):
+        m += 1
+        up &= _resolved(B[:, :m, :m], basis, m)
         dims[up] = m
-        up = up[top[up] > m]
+        up &= top > m
+    down = (dims == 0) & (top > 0)
     for m in range(h, 0, -1):
-        cand = down[top[down] >= m]
-        if len(cand):
-            dims[cand[_resolved(B[cand, :m, :m], basis, m)]] = m
-            down = down[dims[down] == 0]
-        if not len(down):
+        if not np.count_nonzero(down):
             break
+        probe = down & (top >= m)
+        if np.count_nonzero(probe):
+            ok = probe & _resolved(B[:, :m, :m], basis, m)
+            dims[ok] = m
+            down &= ~ok
     return dims
-
-
-def _dim_one(B: np.ndarray, basis: BasisId, h: int, top: int) -> int:
-    """_dims' resolution search for a stack of one Gram, on Python ints.
-
-    ``top`` is the dimension its pivot gate passes to. Probes h + 1, then
-    upward while it passes; or h and downward to the first that passes.
-    """
-    if top > h and _resolved(B[:, :h + 1, :h + 1], basis, h + 1)[0]:
-        m = h + 1
-        while m < top and _resolved(B[:, :m + 1, :m + 1], basis, m + 1)[0]:
-            m += 1
-        return m
-    for m in range(min(h, top), 0, -1):
-        if _resolved(B[:, :m, :m], basis, m)[0]:
-            return m
-    return 0
 
 
 def _swap(X: np.ndarray) -> np.ndarray:
@@ -282,26 +262,30 @@ def _cholesky(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _solve_dim(A, B, T):
     """The gates after pivot and resolution, for a stack of (m, m) pencils.
 
-    Returns the stack positions of the pencils that pass every gate and,
-    for those in order, the clamped eigenvalues, B-orthonormal states
-    (columns) and the indices of the top and bottom states.
+    One whitening W = L^-1 D, with D B D = L L^T, reduces each pencil to
+    the symmetric S = W A W^T; its eigenvectors map back as W^T U. Both
+    triangular factors, L here and C of the straightening, are inverted
+    once and applied as products. Returns the stack positions of the
+    pencils that pass every gate and, for those in order, the clamped
+    eigenvalues, B-orthonormal states (columns) and the indices of the
+    top and bottom states.
     """
     none = (np.zeros(0, dtype=np.intp),) + (None,) * 4
     idx = np.arange(len(B))
     # equilibrate to unit diagonal before factorizing; a congruence,
     # so eigenvalues are untouched and states map back through D
     D = 1.0 / np.sqrt(_diag(B))
-    DD = D[:, :, None] * D[:, None, :]
-    L, ok = _cholesky(B * DD)
+    L, ok = _cholesky(B * (D[:, :, None] * D[:, None, :]))
     ok &= ~(_diag(L).min(axis=1) ** 2 < PIVOT_RTOL)
     if not ok.all():
-        idx, A, B, T, L, D, DD = _keep(ok, idx, A, B, T, L, D, DD)
+        idx, A, B, T, L, D = _keep(ok, idx, A, B, T, L, D)
         if not len(idx):
             return none
-    S = _swap(np.linalg.solve(L, _swap(np.linalg.solve(L, A * DD))))
+    W = np.linalg.inv(L) * D[:, None, :]
+    S = W @ A @ _swap(W)
     S = 0.5 * (S + _swap(S))
     w, U = np.linalg.eigh(S)
-    alphas = np.linalg.solve(_swap(L), U) * D[:, :, None]
+    alphas = _swap(W) @ U
 
     # straighten residual orthonormality drift with the Gram factor of
     # the computed states, then verify the quality bounds consumers rely
@@ -312,14 +296,14 @@ def _solve_dim(A, B, T):
         idx, A, B, T, C, w, alphas = _keep(ok, idx, A, B, T, C, w, alphas)
         if not len(idx):
             return none
-    alphas = _swap(np.linalg.solve(C, _swap(alphas)))
-    G = _swap(alphas) @ B @ alphas
-    ok = ~(np.abs(_diag(G) - 1.0).max(axis=1) > 1e-10)
-    off = np.abs(G)
-    off.reshape(len(off), -1)[:, ::off.shape[-1] + 1] = 0.0
-    ok &= ~(off.max(axis=(1, 2)) > 1e-8)
+    alphas = alphas @ _swap(np.linalg.inv(C))
+    Balphas = B @ alphas
+    E = np.abs(_swap(alphas) @ Balphas - np.eye(alphas.shape[-1]))
+    ok = ~(_diag(E).max(axis=1) > 1e-10)
+    E.reshape(len(E), -1)[:, ::E.shape[-1] + 1] = 0.0
+    ok &= ~(E.max(axis=(1, 2)) > 1e-8)
     normA = np.sqrt(_sqnorms(A))
-    R = A @ alphas - (B @ alphas) * w[:, None, :]
+    R = A @ alphas - Balphas * w[:, None, :]
     res_cap = 1e-8 * (normA[:, None]
                       + np.abs(w) * np.sqrt(_sqnorms(B))[:, None])
     ok &= ~(np.sqrt((R * R).sum(axis=1)) > res_cap).any(axis=1)

@@ -100,18 +100,27 @@ class MomentVector:
 
 def tick_arrays(ticks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, p, dV) float64 arrays from a Tick sequence or an array triple."""
-    if isinstance(ticks, tuple) and len(ticks) == 3:
-        t, p, dV = (np.asarray(a, dtype=np.float64) for a in ticks)
-    else:
-        if len(ticks) == 0:
-            return (np.empty(0), np.empty(0), np.empty(0))
-        arr = np.asarray(ticks, dtype=np.float64)
-        t, p, dV = arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy()
+    try:
+        if isinstance(ticks, tuple) and len(ticks) == 3:
+            t, p, dV = (np.asarray(a, dtype=np.float64) for a in ticks)
+        else:
+            if len(ticks) == 0:
+                return (np.empty(0), np.empty(0), np.empty(0))
+            arr = np.asarray(ticks, dtype=np.float64)
+            if arr.ndim != 2 or arr.shape[1] != 3:
+                raise InputError(_SHAPE)
+            t, p, dV = arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy()
+    except (TypeError, ValueError):
+        raise InputError(_SHAPE) from None
+    if not t.ndim == p.ndim == dV.ndim == 1:
+        raise InputError(_SHAPE)
     _check_range(t, p, dV, 0, len(t))
     _check_ticks(t, p, dV)
     return t, p, dV
 
 
+_SHAPE = ("ticks must be rows of exactly 3 numbers (t, p, dV) or three "
+          "1-d columns")
 _NOT_FINITE = "tick times, prices and shares must be finite"
 _OVERFLOW = "price * price * shares of a tick must be finite"
 
@@ -135,6 +144,11 @@ def _check_ticks(t: np.ndarray, p: np.ndarray, dV: np.ndarray) -> None:
 
 def _check_range(t, p, dV, a: int, b: int) -> None:
     """Refuse a tick range a..b-1 that the tick columns do not hold."""
+    if not (isinstance(t, np.ndarray) and isinstance(p, np.ndarray)
+            and isinstance(dV, np.ndarray)
+            and t.ndim == p.ndim == dV.ndim == 1):
+        raise InputError("tick columns must be 1-d numpy arrays, as "
+                         "tick_arrays returns")
     if not len(t) == len(p) == len(dV):
         raise InputError("tick columns differ in length")
     if a < 0 or b > len(t):

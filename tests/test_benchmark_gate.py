@@ -25,8 +25,7 @@ def _bench_oracle():
     return module
 
 
-@pytest.mark.parametrize("basis", [BasisId.SHIFTED_LEGENDRE,
-                                   BasisId.CHEBYSHEV])
+@pytest.mark.parametrize("basis", list(BasisId))
 def test_every_row_passes_the_benchmark_oracle(basis):
     # a steady tape of about 400 ticks with one flow spike and price jump
     ticks = spike(steady(1, 100, 100, 400, 7), 200, 8, 30, 1.25)

@@ -7,7 +7,8 @@ from psima import (BasisId, DegenerateStateError, EmptyWindowError,
                    MeasureKind, MomentEngine, flow, gram, rayleigh,
                    solve_pencil, tick_arrays)
 from psima.basis import linearization_table, matrix_from_moments
-from psima.gev import _resolved, solve_stack
+from psima import gev
+from psima.gev import _dims, _resolved, solve_stack
 from psima.synth import spike, steady
 
 
@@ -237,3 +238,53 @@ def test_dimension_search_start_changes_nothing(benchmark_tapes, tape, basis):
                               start)
             for a, b in zip(got, ref):
                 assert a.tobytes() == b[k:k + 1].tobytes(), (start, k)
+
+
+@pytest.mark.parametrize("basis", [BasisId.LAGUERRE,
+                                   BasisId.SHIFTED_LEGENDRE])
+def test_dimension_search_probes_only_where_a_pencil_can_pass(
+        benchmark_tapes, basis, monkeypatch):
+    n = 12
+    t, p, dV = benchmark_tapes["live"]
+    eng = MomentEngine(basis, n, 256.0)
+    rows = eng.advance_steps(t, t, p, dV, 0, np.arange(1, len(t) + 1))
+    B = matrix_from_moments(rows[:, :1], n,
+                            linearization_table(basis, n - 1))[:, 0]
+    # the first pencil of each dimension the tape resolves, so every
+    # start has pencils that walk up and pencils that walk down; one whose
+    # pivot gate fails above dimension 3, and a zero Gram
+    dims = _dims(B, basis, n)
+    B = B[[int(np.flatnonzero(dims == m)[0]) for m in np.unique(dims)]]
+    cut = B[-1].copy()
+    cut[3, :] = cut[:, 3] = 0.0
+    B = np.concatenate([B, cut[None], np.zeros((1, n, n))])
+    d = np.diagonal(B, axis1=1, axis2=2)
+    dmin = np.minimum.accumulate(d, axis=1)
+    top = ((dmin > 0.0) & (dmin >= gev.PIVOT_RTOL
+                           * np.maximum.accumulate(d, axis=1))).sum(axis=1)
+    assert top[-2:].tolist() == [3, 0]
+    probes = []
+    resolved = gev._resolved
+
+    def counted(Bm, basis, m):
+        probes.append(m)
+        return resolved(Bm, basis, m)
+
+    monkeypatch.setattr(gev, "_resolved", counted)
+    ref = _dims(B, basis, n)
+    assert len(set(ref.tolist())) > 6
+    for start in range(1, n + 1):
+        probes.clear()
+        got = _dims(B, basis, start)
+        assert got.tolist() == ref.tolist()
+        # a probe at m above the start is needed by the pencils whose
+        # pivot gate reaches m and that passed at m - 1 (or wait at
+        # start + 1); one at m up to the start by those that reach m and
+        # resolve no more than m
+        want = [m for m in range(start + 1, n + 1)
+                if ((top >= m) & ((ref >= m - 1) | (m == start + 1))).any()]
+        want += [m for m in range(start, 0, -1)
+                 if ((top >= m) & (ref <= m)).any()]
+        assert probes == want, start
+        for k in range(len(B)):
+            assert _dims(B[k:k + 1], basis, start).tolist() == [ref[k]]

@@ -413,8 +413,9 @@ def test_one_step_advance_is_the_block_step_bit_for_bit(basis):
 def _bad_steps(t):
     """(name, i0, time, end, column patch) steps the engine must refuse.
 
-    A patch (column, k, value) sets entry k of the column to value, or
-    with value None cuts the column to its first k entries.
+    A patch (columns, k, value) sets entry k of each named column to
+    value, or with value None cuts it to its first k entries; with k None
+    it replaces the whole column by value(column).
     """
     return [
         ("nan time", 3, np.nan, 4, None),
@@ -430,6 +431,11 @@ def _bad_steps(t):
         ("nan time in a block", 3, t[5], 6, ("t", 4, np.nan)),
         ("p*p*dV overflows", 3, t[3], 4, ("p", 3, 1e200)),
         ("p*p*dV overflows in a block", 3, t[5], 6, ("dV", 4, 1e306)),
+        ("columns are None", 3, t[3], 4, ("t p dV", None, lambda c: None)),
+        # a one-tick range of lists was once absorbed
+        ("columns are lists", 3, t[3], 4, ("t p dV", None, list)),
+        ("a column is a list", 3, t[5], 6, ("p", None, list)),
+        ("a column is 2-d", 3, t[5], 6, ("dV", None, lambda c: c[:, None])),
     ]
 
 
@@ -439,15 +445,18 @@ def test_one_step_advance_refuses_what_the_block_refuses(name):
     _, i0, ts, b, patch = next(c for c in _bad_steps(base[0]) if c[0] == name)
     cols = dict(zip("t p dV".split(), (c.copy() for c in base)))
     if patch:
-        column, k, value = patch
-        if value is None:
-            cols[column] = cols[column][:k]
-        else:
-            cols[column][k] = value
+        columns, k, value = patch
+        for column in columns.split():
+            if k is None:
+                cols[column] = value(cols[column])
+            elif value is None:
+                cols[column] = cols[column][:k]
+            else:
+                cols[column][k] = value
     t, p, dV = cols["t"], cols["p"], cols["dV"]
     messages = []
     # advance_to; a block of one step; a block of two
-    for steps in (None, [ts], [t[2], ts]):
+    for steps in (None, [ts], [base[0][2], ts]):
         eng = MomentEngine(BasisId.CHEBYSHEV, 4, 16.0)
         eng.advance_to(base[0][2], *base, 0, 3)
         before = eng.raw_rows().copy()
@@ -461,6 +470,20 @@ def test_one_step_advance_refuses_what_the_block_refuses(name):
         assert np.array_equal(eng.raw_rows(), before), name
         assert eng.t_now == base[0][2] and eng.tick_count == 3, name
     assert len(set(messages)) == 1, (name, messages)
+
+
+@pytest.mark.parametrize("ticks", [
+    [(1, 2, 3, 4)],                     # a fourth field
+    [(1.0, 2.0)],                       # a field short
+    [[1, 2, "x"]],                      # not a number
+    [1.0, 2.0, 3.0],                    # one row, not a list of rows
+    (np.zeros((3, 2)),) * 3,            # 2-d columns
+    (np.zeros(3), np.zeros(3), "abc"),  # a column of text
+    5,                                  # not a sequence
+])
+def test_tick_arrays_refuses_malformed_ticks(ticks):
+    with pytest.raises(InputError, match="exactly 3 numbers"):
+        tick_arrays(ticks)
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
