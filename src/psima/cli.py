@@ -18,6 +18,7 @@ import argparse
 import logging
 import os
 import sys
+from array import array
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from ._kernels import shift_matrix
 from .basis import BasisId, evaluate_all, linearization, linearization_table
 from .errors import InputError
 from .gev import solve_pencil
-from .indicators import run_over
-from .ingest import parse_csv, serialize_csv
+from .indicators import run_blocks
+from .ingest import parse_rows, serialize_csv
 from .measure import (MeasureKind, Tick, advance_incremental, resample_full)
 from .operators import flow, gram
 from .synth import spike, steady, uniform01
@@ -108,39 +109,94 @@ def _cmd_run(args) -> int:
     if args.input == "-":
         source = sys.stdin
         if hasattr(source, "reconfigure"):
-            # as parse_csv reads a file: bad bytes name their line
+            # as parse_rows reads a file: bad bytes name their line
             source.reconfigure(encoding="utf-8", errors="surrogateescape")
     else:
         source = args.input
-    ticks = parse_csv(source, date=args.date)
-    if not ticks:
+    # the whole tape is parsed before the first block runs, so a bad line
+    # exits 2 with nothing written
+    ticks = _columns(parse_rows(source, date=args.date))
+    if not len(ticks[0]):
         raise InputError("input holds no ticks")
     basis = BasisId.parse(args.basis)
-    samples, degenerate = run_over(ticks, basis, args.n, args.tau,
-                                   grid=args.grid)
-    if not samples:
+    blocks = run_blocks(ticks, basis, args.n, args.tau, grid=args.grid)
+    if args.output == "-":
+        rows, degenerate = _write_rows(sys.stdout, blocks, args.std)
+    else:
+        rows, degenerate = _write_file(args.output, blocks, args.std)
+    if not rows:
         print(f"psima: all {degenerate} samples numerically degenerate",
               file=sys.stderr)
         return 3
-
-    columns = _COLUMNS + (["p_std"] if args.std else [])
-    lines = [",".join(columns)]
-    for s in samples:
-        row = [_fmt(s.t_now), _fmt(s.p_last), _fmt(s.P_tau), _fmt(s.P_IH),
-               _fmt(s.lambda_IH), _fmt(s.lambda_IL), _fmt(s.T_IH),
-               _fmt(s.T_tau), _fmt(s.P_aver), str(s.effective_n)]
-        if args.std:
-            row.append(_fmt(s.p_std))
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
     if degenerate:
         log.info("degenerate samples skipped: %d", degenerate)
     return 0
+
+
+def _columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, p, dV) float64 columns of parsed rows: 24 bytes a tick."""
+    t, p, dV = array("d"), array("d"), array("d")
+    for a, b, c in rows:
+        t.append(a)
+        p.append(b)
+        dV.append(c)
+    return tuple(np.frombuffer(c, dtype=np.float64) for c in (t, p, dV))
+
+
+def _write_rows(fh, blocks, std: bool) -> tuple[int, int]:
+    """Write each block's rows as it comes; (rows, skipped) written.
+
+    The header goes out with the first row, so a run without rows writes
+    nothing.
+    """
+    columns = _COLUMNS + (["p_std"] if std else [])
+    rows = degenerate = 0
+    for samples, skipped in blocks:
+        degenerate += skipped
+        if samples and not rows:
+            fh.write(",".join(columns) + "\n")
+        rows += len(samples)
+        lines = []
+        for s in samples:
+            row = [_fmt(s.t_now), _fmt(s.p_last), _fmt(s.P_tau),
+                   _fmt(s.P_IH), _fmt(s.lambda_IH), _fmt(s.lambda_IL),
+                   _fmt(s.T_IH), _fmt(s.T_tau), _fmt(s.P_aver),
+                   str(s.effective_n)]
+            if std:
+                row.append(_fmt(s.p_std))
+            lines.append(",".join(row) + "\n")
+        fh.write("".join(lines))
+    return rows, degenerate
+
+
+def _write_file(path: str, blocks, std: bool) -> tuple[int, int]:
+    """_write_rows into a new file beside ``path``, renamed onto it if the
+    run wrote rows; on an error or no rows, ``path`` is left as it was.
+
+    A path that is not a regular file (a device such as /dev/null, or a
+    pipe) cannot be replaced and is written as the rows come.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fh:
+            return _write_rows(fh, blocks, std)
+    folder, name = os.path.split(target)
+    tmp = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
+    # O_EXCL: never write through a file someone else made; 0o666 under
+    # the umask, as open(path, "w") would create it
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the path asked for, not the new file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            rows, degenerate = _write_rows(fh, blocks, std)
+        if rows:
+            os.replace(tmp, target)
+    finally:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+    return rows, degenerate
 
 
 def _cmd_synth(args) -> int:

@@ -10,8 +10,11 @@ consumers treat it as the adaptive moving average output.
 
 The engine carries moments; this module turns a stack of engine snapshots
 into IndicatorSamples with one operator contraction and one stacked pencil
-solve. run_over runs it on a whole tape in fixed blocks; evaluate_at reads
-its one snapshot with the same arithmetic on Python scalars.
+solve. run_blocks runs it on a whole tape in fixed blocks and yields each
+block's samples as the block is solved, so a caller that writes them out
+needs memory for one block, not for the series; run_over is that iterator
+collected into one list. evaluate_at reads its one snapshot with the same
+arithmetic on Python scalars.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from math import floor, isfinite, sqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,6 +41,7 @@ __all__ = [
     "phi_average",
     "evaluate_at",
     "run_over",
+    "run_blocks",
 ]
 
 log = logging.getLogger("psima")
@@ -263,18 +267,41 @@ def run_over(ticks, basis: BasisId, n: int, tau: float,
              grid: float | None = None) -> tuple[list[IndicatorSample], int]:
     """Indicator series over a tape; returns (samples, degenerate_count).
 
+    run_blocks collected into one list, with its skipped counts summed;
+    see run_blocks for the sampling, the skipped samples and the errors.
+    """
+    samples: list[IndicatorSample] = []
+    degenerate = 0
+    for block, skipped in run_blocks(ticks, basis, n, tau, grid):
+        samples += block
+        degenerate += skipped
+    if degenerate:
+        log.info("skipped %d degenerate samples of %d", degenerate,
+                 degenerate + len(samples))
+    return samples, degenerate
+
+
+def run_blocks(ticks, basis: BasisId, n: int, tau: float,
+               grid: float | None = None
+               ) -> Iterator[tuple[list[IndicatorSample], int]]:
+    """Indicator series over a tape, yielded as (samples, skipped) per block.
+
     Sampling is per tick by default. With ``grid`` the samples fall at
     t0 + k*grid, k = 0, 1, ..., up to the last tick, t0 the first tick's
     time; each is formed from k, so no rounding accumulates along a long
     tape. A step giving more than _MAX_GRID_SAMPLES (10^8) samples raises
-    InputError. Samples where the window is empty, volume-free, or
-    spectrally degenerate are skipped and counted. Values that overflow
-    the moment arithmetic raise InputError naming the block's times.
+    InputError, as do malformed ticks; both are refused by this call,
+    before the first block. Samples where the window is empty,
+    volume-free, or spectrally degenerate are skipped and counted in their
+    block's ``skipped``. Values that overflow the moment arithmetic raise
+    InputError naming the block's times, from the block that meets them;
+    the blocks before it have been yielded.
 
     The tape runs in blocks of _BLOCK samples: the engine steps through a
     block's sample times (MomentEngine.advance_steps), and the block's
     readings are solved together (_readings), with the arithmetic
-    evaluate_at runs on one snapshot.
+    evaluate_at runs on one snapshot. Only the engine and the tick columns
+    are kept from one block to the next.
     """
     t, p, dV = tick_arrays(ticks)
     if len(t) == 0:
@@ -282,9 +309,8 @@ def run_over(ticks, basis: BasisId, n: int, tau: float,
     if (t[1:] < t[:-1]).any():
         raise InputError("tick times must be nondecreasing")
     engine = MomentEngine(basis, n, tau)
-    # the span of sample times an overflow is reported in; each block
-    # narrows it to its own
     first, last = float(t[0]), float(t[-1])
+    count = len(t)
     if grid is not None:
         if not (isfinite(grid) and grid > 0 and last + grid > last):
             raise InputError(f"grid step must be finite, positive and "
@@ -294,37 +320,47 @@ def run_over(ticks, basis: BasisId, n: int, tau: float,
             raise InputError(f"grid step {grid!r} asks for {steps + 1:.3g} "
                              f"samples, over the limit of "
                              f"{_MAX_GRID_SAMPLES:.0e}")
+        count = floor(steps) + 1
+    return _blocks(engine, t, p, dV, grid, count)
+
+
+def _blocks(engine: MomentEngine, t, p, dV, grid: float | None,
+            count: int) -> Iterator[tuple[list[IndicatorSample], int]]:
+    """run_blocks' loop over at most ``count`` samples.
+
+    Float errors are raised block by block, never across a yield: numpy's
+    error state belongs to the running context, and a suspended generator
+    would leave it set in its caller's.
+    """
     horizon = PRUNE_HORIZON * engine.tau
-    samples: list[IndicatorSample] = []
-    degenerate = 0
-    try:
-        with np.errstate(**_RAISE):
-            if grid is None:
-                times = t
-                ends = np.arange(1, len(t) + 1)
-            else:
-                times = first + np.arange(floor(steps) + 1) * grid
-                times = times[times <= last]
-                ends = np.searchsorted(t, times, side="right")
-            for b0 in range(0, len(times), _BLOCK):
-                b1 = min(b0 + _BLOCK, len(times))
-                first, last = float(times[b0]), float(times[b1 - 1])
-                rows = engine.advance_steps(times[b0:b1], t, p, dV,
-                                            int(ends[b0 - 1]) if b0 else 0,
-                                            ends[b0:b1])
-                last_tick = ends[b0:b1] - 1
+    # the span of sample times an overflow is reported in; each block
+    # narrows it to its own
+    first, last = float(t[0]), float(t[-1])
+    i0 = 0  # the first tick the engine has not absorbed
+    for b0 in range(0, count, _BLOCK):
+        b1 = min(b0 + _BLOCK, count)
+        try:
+            with np.errstate(**_RAISE):
+                if grid is None:
+                    times, ends = t[b0:b1], np.arange(b0 + 1, b1 + 1)
+                else:
+                    # first + k*grid rises with k, so the times past the
+                    # last tick are the tail of the last block
+                    times = t[0] + np.arange(b0, b1) * grid
+                    times = times[times <= t[-1]]
+                    if not len(times):
+                        return
+                    ends = np.searchsorted(t, times, side="right")
+                first, last = float(times[0]), float(times[-1])
+                rows = engine.advance_steps(times, t, p, dV, i0, ends)
+                last_tick = ends - 1
                 # the window is empty once its last tick is past the horizon
-                inside = np.flatnonzero(
-                    ~(times[b0:b1] - t[last_tick] > horizon))
+                inside = np.flatnonzero(~(times - t[last_tick] > horizon))
                 r = _readings(rows[inside], engine)
-                good = np.flatnonzero(r.status == _OK)
-                degenerate += (b1 - b0) - len(good)
-                keep = inside[good]
-                samples += _samples(times[b0:b1][keep], p[last_tick[keep]],
-                                    r, good)
-    except _OVERFLOWS as exc:
-        raise _overflow(first, last, exc) from None
-    if degenerate:
-        log.info("skipped %d degenerate samples of %d", degenerate,
-                 degenerate + len(samples))
-    return samples, degenerate
+        except _OVERFLOWS as exc:
+            raise _overflow(first, last, exc) from None
+        i0 = int(ends[-1])
+        good = np.flatnonzero(r.status == _OK)
+        keep = inside[good]
+        yield (_samples(times[keep], p[last_tick[keep]], r, good),
+               len(times) - len(good))

@@ -9,6 +9,11 @@ positive. NaN and infinite values are rejected, and so are finite ones
 whose moment terms overflow: a time step t - t_prev or a p^2 dV that is
 not finite. A line that is not valid UTF-8 is rejected too. All
 violations report the offending 1-based line number.
+
+parse_rows is the one line parser: it yields each validated line as a
+(t, p, dV) float triple and holds nothing but the previous time.
+parse_csv collects those rows into Ticks; a caller that wants memory for
+the numbers alone (`psima run`) collects them into float columns.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ import io
 import math
 from datetime import datetime, timezone
 from os import PathLike
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError
 from .measure import Tick
 
-__all__ = ["parse_csv", "serialize_csv"]
+__all__ = ["parse_csv", "parse_rows", "serialize_csv"]
 
 
 def _time_of_day(field: str, date: str | None, lineno: int) -> float:
@@ -46,12 +51,23 @@ def _time_of_day(field: str, date: str | None, lineno: int) -> float:
 
 def parse_csv(source, date: str | None = None) -> list[Tick]:
     """Read a tick tape; ``source`` is a path, or any iterable of lines."""
+    return [Tick(*row) for row in parse_rows(source, date)]
+
+
+def parse_rows(source, date: str | None = None
+               ) -> Iterator[tuple[float, float, float]]:
+    """Yield a tick tape's (t, p, dV) rows as each line is validated.
+
+    ``source`` is as for parse_csv, and a bad line raises the same
+    InputError when iteration reaches it.
+    """
     if isinstance(source, (str, PathLike)):
         # undecodable bytes become lone surrogates, refused by line below
         with open(source, "r", encoding="utf-8",
                   errors="surrogateescape") as fh:
-            return _parse_lines(fh, date)
-    return _parse_lines(source, date)
+            yield from _parse_lines(fh, date)
+    else:
+        yield from _parse_lines(source, date)
 
 
 def _check_utf8(line: str, lineno: int) -> None:
@@ -62,8 +78,8 @@ def _check_utf8(line: str, lineno: int) -> None:
             raise InputError(f"line {lineno}: not valid UTF-8") from None
 
 
-def _parse_lines(lines: Iterable[str], date: str | None) -> list[Tick]:
-    ticks: list[Tick] = []
+def _parse_lines(lines: Iterable[str], date: str | None
+                 ) -> Iterator[tuple[float, float, float]]:
     prev_t = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -104,8 +120,7 @@ def _parse_lines(lines: Iterable[str], date: str | None) -> list[Tick]:
             raise InputError(
                 f"line {lineno}: non-finite time step from {prev_t} to {t}")
         prev_t = t
-        ticks.append(Tick(t=t, p=p, dV=dV))
-    return ticks
+        yield t, p, dV
 
 
 def _looks_like_header(fields: list[str]) -> bool:

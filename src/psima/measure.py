@@ -99,9 +99,14 @@ class MomentVector:
 
 
 def tick_arrays(ticks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, p, dV) float64 arrays from a Tick sequence or an array triple."""
+    """(t, p, dV) float64 arrays from a Tick sequence or an array triple.
+
+    A tuple is read as columns only where all three items are numpy arrays;
+    any other sequence, a tuple of three Ticks among them, is read as rows.
+    """
     try:
-        if isinstance(ticks, tuple) and len(ticks) == 3:
+        if (isinstance(ticks, tuple) and len(ticks) == 3
+                and all(isinstance(c, np.ndarray) for c in ticks)):
             t, p, dV = (np.asarray(a, dtype=np.float64) for a in ticks)
         else:
             if len(ticks) == 0:

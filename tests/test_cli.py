@@ -5,12 +5,15 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psima import cli
+from psima import (BasisId, cli, indicators, parse_csv, run_blocks, run_over,
+                   serialize_csv)
+from psima.synth import spike, steady
 
 HEADER = "t,p_last,P_tau,P_IH,lambda_IH,lambda_IL,T_IH,T_tau,P_aver,effective_n"
 
@@ -282,3 +285,126 @@ def test_run_on_wild_tapes_exits_cleanly(tape, basis, n, tau, extra):
             assert rows
             for row in rows:
                 assert all(math.isfinite(float(v)) for v in row.split(","))
+
+
+def main_out(*args):
+    """cli.main in-process; (exit code, stdout text)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(args))
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def tape600(tmp_path_factory):
+    path = tmp_path_factory.mktemp("blocks") / "tape600.csv"
+    ticks = spike(steady(2.0, 100.0, 50.0, 300.0, 5), 150.0, 8.0, 15.0, 1.25)
+    assert 550 <= len(ticks) <= 650
+    serialize_csv(ticks, str(path))
+    return path
+
+
+@pytest.mark.parametrize("basis", ["laguerre", "legendre", "chebyshev"])
+@pytest.mark.parametrize("grid", [[], ["--grid", "10"]])
+def test_output_does_not_depend_on_the_block_size(tape600, basis, grid,
+                                                   monkeypatch):
+    # each block is solved and written on its own, so the rows must not
+    # see where the blocks were cut
+    args = ["run", "--input", str(tape600), "--basis", basis, "--tau", "32",
+            "--std"] + grid
+    ticks = parse_csv(str(tape600))
+    step = float(grid[1]) if grid else None
+    outs = []
+    for block in (1, 7, 256, 4096):
+        monkeypatch.setattr(indicators, "_BLOCK", block)
+        code, text = main_out(*args)
+        assert code == 0
+        outs.append(text)
+        samples, skipped = run_over(ticks, BasisId.parse(basis), 12, 32.0,
+                                    step)
+        blocks = list(run_blocks(ticks, BasisId.parse(basis), 12, 32.0,
+                                 step))
+        assert len(blocks) == -(-(len(samples) + skipped) // block)
+        assert [s for b, _ in blocks for s in b] == samples
+        assert sum(k for _, k in blocks) == skipped
+    assert outs[0].count("\n") > (500 if not grid else 25)
+    assert all(text == outs[0] for text in outs[1:])
+
+
+# tapes psima run refuses: a bad line, the overflow tapes of
+# test_overflowing_tapes_are_refused, and a tape with no volume at all
+FAILING_TAPES = {
+    "bad line": ("0,100,5\n1,hello,5\n", 2),
+    "overflow from zero": ("0,100,0\n1e300,100,5\n", 2),
+    "overflow at 1e300": ("1e300,100,5\n2e300,100,5\n", 2),
+    "no volume": ("".join(f"{i},100.0,0\n" for i in range(20)), 3),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_TAPES)
+@pytest.mark.parametrize("block", [1, 256])
+def test_a_failed_run_leaves_the_output_path_as_it_was(tmp_path, name, block,
+                                                       monkeypatch):
+    body, want = FAILING_TAPES[name]
+    tape = tmp_path / "tape.csv"
+    tape.write_text(body)
+    folder = tmp_path / "out"
+    folder.mkdir()
+    out = folder / "ind.csv"
+    out.write_bytes(b"earlier,run\n")
+    monkeypatch.setattr(indicators, "_BLOCK", block)
+    args = ["run", "--input", str(tape), "--basis", "laguerre", "--n", "4",
+            "--tau", "2"]
+    assert main_out(*args, "--output", str(out)) == (want, "")
+    assert out.read_bytes() == b"earlier,run\n"
+    assert os.listdir(folder) == ["ind.csv"]
+    code, text = main_out(*args)
+    assert code == want
+    if name == "overflow at 1e300" and block == 1:
+        # on stdout the rows of the blocks before the refused one stay
+        assert text.splitlines()[0] == HEADER and text.count("\n") == 2
+    else:
+        assert text == ""
+
+
+def test_a_run_replaces_the_output_file(tape, tmp_path):
+    out = tmp_path / "ind.csv"
+    out.write_text("earlier,run\n" * 100000)
+    code, text = main_out("run", "--input", str(tape), "--tau", "64",
+                          "--n", "4", "--output", str(out))
+    assert (code, text) == (0, "")
+    assert out.read_text() == main_out("run", "--input", str(tape), "--tau",
+                                       "64", "--n", "4")[1]
+    assert os.listdir(tmp_path) == ["ind.csv"]
+
+
+def test_run_memory_grows_by_the_tick_columns_alone(tmp_path):
+    # psima run holds the tick columns (24 bytes a tick) and one block:
+    # no Tick objects, sample list or output text grow with the tape
+    ticks = steady(2.0, 100.0, 50.0, 2100.0, 9)
+    peaks = []
+    for size in (1000, 1000, 4000):  # the first run fills the caches
+        tape = tmp_path / f"tape{size}.csv"
+        serialize_csv(ticks[:size], str(tape))
+        tracemalloc.start()
+        try:
+            code, _ = main_out("run", "--input", str(tape), "--n", "4",
+                               "--output", str(tmp_path / "out.csv"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert len(ticks) >= 4000
+    assert (peaks[2] - peaks[1]) / 3000 < 200, peaks
+
+
+def test_an_output_folder_that_is_missing_exits_2_naming_the_path(tape,
+                                                                   tmp_path):
+    out = tmp_path / "absent" / "ind.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--input", str(tape), "--n", "2",
+                         "--output", str(out)])
+    assert code == 2
+    assert f"No such file or directory: '{out}'" in err.getvalue()

@@ -8,7 +8,7 @@ import oracles
 from conftest import make_stream, rel_err
 from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
                    MeasureKind, MomentEngine, Tick, advance_incremental,
-                   omega, resample_full, tick_arrays, x_of_t)
+                   omega, resample_full, run_over, tick_arrays, x_of_t)
 from psima._kernels import (PRUNE_OMEGA, accumulate_block, shift_matrices,
                             shift_matrix)
 from psima.basis import evaluate_all, max_model_order
@@ -484,6 +484,21 @@ def test_one_step_advance_refuses_what_the_block_refuses(name):
 def test_tick_arrays_refuses_malformed_ticks(ticks):
     with pytest.raises(InputError, match="exactly 3 numbers"):
         tick_arrays(ticks)
+
+
+@pytest.mark.parametrize("rows", [
+    [Tick(1.0, 2.0, 3.0), Tick(4.0, 5.0, 6.0), Tick(7.0, 8.0, 9.0)],
+    [Tick(1.0, 2.0, 3.0), Tick(1.5, 5.0, 6.0), Tick(2.0, 8.0, 9.0)],
+])
+def test_tick_arrays_reads_a_tuple_of_ticks_as_rows(rows):
+    # only three numpy arrays are read as columns
+    got = tick_arrays(tuple(rows))
+    want = tick_arrays(rows)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got[0].tolist() == [tk.t for tk in rows]
+    # read as columns, these rows' times would fall and run_over refuse them
+    assert (run_over(tuple(rows), BasisId.CHEBYSHEV, 2, 4.0)
+            == run_over(rows, BasisId.CHEBYSHEV, 2, 4.0))
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
