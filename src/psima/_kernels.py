@@ -19,6 +19,11 @@ The exponential bases scale their argument by s = exp(-d), and Q_m(s x)
 has degree m in x, so G = Q(s X) Q(X)^-1 at any ``orders`` distinct nodes
 X. At the Chebyshev points of the first kind Q(X) is well conditioned
 (Trefethen, Approximation Theory and Approximation Practice, ch. 3, 15).
+Both bases evaluate the Chebyshev values T(s X) by index doubling, a few
+elementwise array steps; Legendre takes Q(s X) = c T(s X) with the exact
+Legendre-in-Chebyshev table c, one small product per gap. No product runs
+over the whole stack of gaps at once, since the BLAS would round a gap's
+entries differently for each stack size.
 
 The Laguerre shift needs no recurrence over matrix rows. By the addition
 theorem (DLMF 18.18.12 with alpha = 0, beta = -1)
@@ -38,7 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisId, evaluate_all
+from .basis import (BasisId, chebyshev_doubling, evaluate_all,
+                    legendre_in_chebyshev)
 
 PRUNE_OMEGA = 1e-16
 
@@ -107,25 +113,33 @@ def shift_matrix(basis, d, orders):
 
 @lru_cache(maxsize=None)
 def _nodes(basis, orders):
-    """Chebyshev points X of the first kind on [0, 1], Q(X)^-1, and the
-    mask of the entries above the diagonal.
+    """2X for the Chebyshev points X of the first kind on [0, 1], Q(X)^-1,
+    the mask of the entries above the diagonal, and the
+    Legendre-in-Chebyshev table c (None for Chebyshev).
     """
     x = 0.5 + 0.5 * np.cos((np.arange(orders) + 0.5) * (np.pi / orders))
-    inv = np.linalg.inv(evaluate_all(basis, orders, x))
+    Q = evaluate_all(BasisId.CHEBYSHEV, orders, x)
+    c = None
+    if basis is BasisId.SHIFTED_LEGENDRE:
+        c = legendre_in_chebyshev(orders)
+        Q = c @ Q
+    inv = np.linalg.inv(Q)
     upper = np.triu(np.ones((orders, orders), dtype=bool), 1)
-    for a in (x, inv, upper):
+    x2 = 2.0 * x
+    for a in (x2, inv, upper):
         a.flags.writeable = False
-    return x, inv, upper
+    return x2, inv, upper, c
 
 
 def shift_matrices(basis, d, orders):
     """Stack of shift_matrix(basis, d[k], orders), one per gap.
 
     Laguerre gathers the closed-form g of every gap, with the scalar
-    builder's operations. An exponential basis evaluates Q at the scaled
-    nodes of every gap and multiplies by the cached Q(X)^-1. Row m stops
-    at column m, and row 0 is exactly e_0 (Q_0 = 1), so every order-0
-    moment shifts by the window decay alone.
+    builder's operations. An exponential basis evaluates the Chebyshev
+    values T at the scaled nodes of every gap (index doubling, elementwise),
+    Legendre takes Q = c T with the cached table c, and both multiply by
+    the cached Q(X)^-1. Row m stops at column m, and row 0 is exactly e_0
+    (Q_0 = 1), so every order-0 moment shifts by the window decay alone.
     """
     d = np.asarray(d, dtype=np.float64)
     if basis is BasisId.LAGUERRE:
@@ -136,15 +150,20 @@ def shift_matrices(basis, d, orders):
             g[:, j] = -(d / j) * a
             a, b = ((2 * j - d) * a - j * b) / j, a
         return g[:, _lags(orders)]
-    x, inv, upper = _nodes(basis, orders)
+    x2, inv, upper, c = _nodes(basis, orders)
     # G is allocated before Q, so that in run_over's block loop the
     # allocator keeps Q's pages for the next block instead of returning
     # them (otherwise about 500 page faults per 256 gaps). One small
     # product per gap: one product over all gaps is threaded by the BLAS,
-    # and on a busy machine its threads wait for a free core.
+    # and on a busy machine its threads wait for a free core; it would
+    # also round a gap's entries differently for each stack size.
     G = np.empty((len(d), orders, orders))
-    Q = evaluate_all(basis, orders, np.exp(-d)[:, None] * x)
-    np.matmul(Q.swapaxes(0, 1), inv, out=G)
+    # u = 2 s X - 1 at each gap's scaled nodes, in [-1, 1] for d >= 0
+    Q = chebyshev_doubling(orders, np.exp(-d)[:, None] * x2 - 1.0
+                           ).swapaxes(0, 1)
+    if c is not None:
+        Q = np.matmul(c, Q)
+    np.matmul(Q, inv, out=G)
     np.copyto(G, 0.0, where=upper)
     G[:, 0, 0] = 1.0
     return G

@@ -10,9 +10,13 @@ window in its own coordinate:
 * ``chebyshev``       -- Q_m(x) = T_m(2x - 1), same coordinate.
 
 All downstream algebra needs two primitives: evaluating Q_0..Q_{n-1} at a
-point (three-term recurrences) and re-expanding a product Q_j*Q_k in the
-same family (linearization). Products are what turn a moment vector of
-length 2n-1 into n-by-n operator matrices.
+point and re-expanding a product Q_j*Q_k in the same family
+(linearization). Products are what turn a moment vector of length 2n-1
+into n-by-n operator matrices. Laguerre and Legendre values come from
+their three-term recurrences; Chebyshev values by index doubling, in
+ceil(log2(n - 1)) array steps. The exact Legendre-in-Chebyshev table of
+legendre_in_chebyshev maps Chebyshev values to Legendre ones, which is
+how the shift matrices of both exponential families are built.
 
 Laguerre values grow like e^{|x|/2} away from the window edge, so its
 usable order is much lower than for the bounded families; the bounds below
@@ -37,6 +41,7 @@ __all__ = [
     "LinearizationTable",
     "continuum_gram",
     "evaluate_all",
+    "legendre_in_chebyshev",
     "linearization",
     "linearization_table",
     "matrix_from_moments",
@@ -85,7 +90,8 @@ def _check_order_count(basis: BasisId, count: int) -> None:
 
 
 def evaluate_all(basis: BasisId, n: int, x):
-    """Q_0(x)..Q_{n-1}(x) by the family's three-term recurrence.
+    """Q_0(x)..Q_{n-1}(x): Chebyshev by chebyshev_doubling, the others
+    by their three-term recurrences.
 
     ``x`` may be a scalar or an ndarray; the result has shape (n,) + x.shape.
     Domain is enforced: the linear coordinate must be <= 0, the exponential
@@ -113,17 +119,69 @@ def evaluate_all(basis: BasisId, n: int, x):
         raise InputError("exponential coordinate must lie in [0, 1] "
                          "(x = exp((t - t_now)/tau) with t <= t_now)")
     u = 2.0 * xa - 1.0
+    if basis is BasisId.CHEBYSHEV:
+        return chebyshev_doubling(n, u)
     out = np.empty((n,) + xa.shape, dtype=np.float64)
     out[0] = 1.0
     if n > 1:
         out[1] = u
-    if basis is BasisId.SHIFTED_LEGENDRE:
-        for m in range(1, n - 1):
-            out[m + 1] = ((2 * m + 1) * u * out[m] - m * out[m - 1]) / (m + 1)
-    else:
-        for m in range(1, n - 1):
-            out[m + 1] = 2.0 * u * out[m] - out[m - 1]
+    for m in range(1, n - 1):
+        out[m + 1] = ((2 * m + 1) * u * out[m] - m * out[m - 1]) / (m + 1)
     return out
+
+
+def chebyshev_doubling(n: int, u: np.ndarray) -> np.ndarray:
+    """T_0(u)..T_{n-1}(u) by index doubling; shape (n,) + u.shape.
+
+    With T_0..T_k known, the product identity T_{k+i} = 2 T_k T_i - T_{k-i}
+    (Mason & Handscomb, Chebyshev Polynomials, 2.4) gives T_{k+1}..T_{2k}
+    in one array step, so n orders take ceil(log2(n - 1)) steps instead of
+    n - 2. The steps run on D = 2T, where the identity reads
+    D_{k+i} = D_k D_i - D_{k-i}, and halve D at the end; scaling by 2 is
+    exact, so the bits are those of the identity on T. Every operation is
+    elementwise, so the values at a point do not depend on the other
+    points of the call. ``u`` is not checked: callers pass u = 2x - 1
+    with x in [0, 1].
+    """
+    out = np.empty((n,) + u.shape, dtype=np.float64)
+    out[0] = 2.0
+    if n > 1:
+        out[1] = 2.0 * u
+    k = 1
+    while k < n - 1:
+        j = min(k, n - 1 - k)
+        new = out[k + 1:k + j + 1]
+        np.multiply(out[k], out[1:j + 1], out=new)
+        new -= out[k - j:k][::-1]
+        k += j
+    out *= 0.5
+    return out
+
+
+@lru_cache(maxsize=None)
+def legendre_in_chebyshev(n: int) -> np.ndarray:
+    """c with P_m = sum_k c[m, k] T_k for m, k < n, lower triangular.
+
+    The connection coefficients (Alpert & Rokhlin, SIAM J. Sci. Stat.
+    Comput. 12, 1991) are, for m - k even, with a = (m - k)/2 and
+    b = (m + k)/2,
+
+        c[m, k] = (2 - [k == 0]) C(2a, a) C(2b, b) / 4^m,
+
+    and 0 otherwise. Each entry is formed as an exact rational and rounded
+    once, so row 0 is exactly e_0, every entry is nonnegative and each row
+    sums to 1 (P_m(1) = T_k(1) = 1) up to one rounding per entry. The
+    affine shift to [0, 1] leaves the coefficients unchanged.
+    """
+    if n < 1:
+        raise InputError("need at least one polynomial order")
+    c = np.zeros((n, n))
+    for m in range(n):
+        for k in range(m % 2, m + 1, 2):
+            a, b = (m - k) // 2, (m + k) // 2
+            c[m, k] = (2 - (k == 0)) * comb(2 * a, a) * comb(2 * b, b) / 4 ** m
+    c.flags.writeable = False
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from array import array
 import numpy as np
 
 from ._kernels import shift_matrix
-from .basis import BasisId, evaluate_all, linearization, linearization_table
+from .basis import (BasisId, evaluate_all, legendre_in_chebyshev,
+                    linearization, linearization_table)
 from .errors import InputError
 from .gev import solve_pencil
 from .indicators import run_blocks
@@ -345,6 +346,22 @@ def _check_shift_identity() -> None:
                 assert np.all(err <= 1e-11 * scale), (basis, orders, d)
 
 
+def _check_chebyshev_doubling() -> None:
+    # index-doubled Chebyshev values against the closed form
+    # T_m(u) = cos(m arccos u), and the Legendre recurrence against the
+    # connection table, P = c T; rounding on both sides grows like m^2 eps
+    x = np.random.default_rng(29).uniform(0.0, 1.0, 40)
+    for orders in (23, 149):
+        tol = 1e-16 * orders ** 2 + 1e-15
+        T = evaluate_all(BasisId.CHEBYSHEV, orders, x)
+        cosine = np.cos(np.arange(orders)[:, None] * np.arccos(2.0 * x - 1.0))
+        err = np.abs(T - cosine).max()
+        assert err <= tol, ("chebyshev", orders, err)
+        P = evaluate_all(BasisId.SHIFTED_LEGENDRE, orders, x)
+        err = np.abs(P - legendre_in_chebyshev(orders) @ T).max()
+        assert err <= tol, ("legendre", orders, err)
+
+
 def _check_synth_accounting() -> None:
     ticks = steady(1, 100, 10, 1000, 7)
     total = sum(tk.dV for tk in ticks)
@@ -360,6 +377,7 @@ def _cmd_selftest(args) -> int:
         ("ema-vs-raw-sum", _check_ema_oracle),
         ("incremental-vs-resample", _check_incremental),
         ("shift-matrix-identity", _check_shift_identity),
+        ("chebyshev-doubling-vs-cosine", _check_chebyshev_doubling),
         ("synth-volume-accounting", _check_synth_accounting),
     ]
     failed = 0

@@ -15,7 +15,10 @@ truncation beats ridging here.
 solve_stack runs every gate over a stack of pencils at once, and only the
 pencils that fail at a dimension try the next one down; solve_pencil is
 solve_stack on a stack of one. The dimension search and the reduction
-are the same code for a live stack of one and a block of many.
+are the same code for a live stack of one and a block of many. After the
+eigensolve nothing is searched: eigh returns the eigenvalues ascending,
+so the bottom state is the first and the top state the last, unless the
+last two are tied.
 
 The first two gates, pivot and resolution, each pass on a prefix 1..r of
 the dimensions. The pivot gate is a running minimum and maximum of the
@@ -73,7 +76,7 @@ class PencilStack(NamedTuple):
 
     Row k is valid on its leading effective_n[k] entries: lambdas[k, :m]
     ascending, alphas[k, :m, :m] with the states as columns. effective_n
-    is 0 where no dimension solves.
+    is 0 where no dimension solves. The lambdas ascend, so i_IL is 0.
     """
     effective_n: np.ndarray   # (K,) int
     lambdas: np.ndarray       # (K, n)
@@ -144,7 +147,7 @@ def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
     dims = _dims(B, basis, n if start is None else start)
     if K == 1:
         for m in range(int(dims[0]), 0, -1):
-            passed, w, al, top, low = _solve_dim(
+            passed, w, al, top = _solve_dim(
                 A[:, :m, :m], B[:, :m, :m],
                 None if T is None else T[:, :m, :m])
             if len(passed):
@@ -152,7 +155,6 @@ def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
                 lambdas[0, :m] = w[0]
                 alphas[0, :m, :m] = al[0]
                 i_IH[0] = top[0]
-                i_IL[0] = low[0]
                 break
         return PencilStack(effective_n, lambdas, alphas, i_IH, i_IL)
     todo = np.flatnonzero(dims)
@@ -160,7 +162,7 @@ def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
         cand = todo[dims[todo] >= m]
         if not len(cand):
             continue
-        passed, w, al, top, low = _solve_dim(
+        passed, w, al, top = _solve_dim(
             A[cand, :m, :m], B[cand, :m, :m],
             None if T is None else T[cand, :m, :m])
         if not len(passed):
@@ -170,7 +172,6 @@ def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
         lambdas[done, :m] = w
         alphas[done, :m, :m] = al
         i_IH[done] = top
-        i_IL[done] = low
         todo = todo[effective_n[todo] == 0]
         if not len(todo):
             break
@@ -265,12 +266,14 @@ def _solve_dim(A, B, T):
     One whitening W = L^-1 D, with D B D = L L^T, reduces each pencil to
     the symmetric S = W A W^T; its eigenvectors map back as W^T U. Both
     triangular factors, L here and C of the straightening, are inverted
-    once and applied as products. Returns the stack positions of the
-    pencils that pass every gate and, for those in order, the clamped
-    eigenvalues, B-orthonormal states (columns) and the indices of the
-    top and bottom states.
+    once and applied as products. The normalization and orthogonality
+    gates are one comparison of |alpha^T B alpha - I| against a cached
+    cap matrix. Returns the stack positions of the pencils that pass
+    every gate and, for those in order, the clamped eigenvalues
+    (ascending, as eigh returns them), B-orthonormal states (columns)
+    and the indices of the top states; the bottom state is always 0.
     """
-    none = (np.zeros(0, dtype=np.intp),) + (None,) * 4
+    none = (np.zeros(0, dtype=np.intp),) + (None,) * 3
     idx = np.arange(len(B))
     # equilibrate to unit diagonal before factorizing; a congruence,
     # so eigenvalues are untouched and states map back through D
@@ -298,10 +301,8 @@ def _solve_dim(A, B, T):
             return none
     alphas = alphas @ _swap(np.linalg.inv(C))
     Balphas = B @ alphas
-    E = np.abs(_swap(alphas) @ Balphas - np.eye(alphas.shape[-1]))
-    ok = ~(_diag(E).max(axis=1) > 1e-10)
-    E.reshape(len(E), -1)[:, ::E.shape[-1] + 1] = 0.0
-    ok &= ~(E.max(axis=(1, 2)) > 1e-8)
+    eye, cap = _orthonormality_cap(alphas.shape[-1])
+    ok = ~(np.abs(_swap(alphas) @ Balphas - eye) > cap).any(axis=(1, 2))
     normA = np.sqrt(_sqnorms(A))
     R = A @ alphas - Balphas * w[:, None, :]
     res_cap = 1e-8 * (normA[:, None]
@@ -312,10 +313,25 @@ def _solve_dim(A, B, T):
         if not len(idx):
             return none
 
-    # flow is a nonnegative form; tiny negative lambdas are roundoff
-    floor = -1e-12 * np.maximum(normA, 1.0)
-    w = np.where((w < 0.0) & (w > floor[:, None]), 0.0, w)
-    return idx, w, alphas, _pick_top(w, alphas, A, T), w.argmin(axis=1)
+    # flow is a nonnegative form; tiny negative lambdas are roundoff.
+    # eigh's lambdas ascend, so only a row whose first is negative needs
+    # the clamp, and the clamp keeps the order: the bottom state is 0.
+    if w[:, 0].min() < 0.0:
+        floor = -1e-12 * np.maximum(normA, 1.0)
+        w = np.where((w < 0.0) & (w > floor[:, None]), 0.0, w)
+    return idx, w, alphas, _pick_top(w, alphas, A, T)
+
+
+@lru_cache(maxsize=None)
+def _orthonormality_cap(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """I and the cap on |alpha^T B alpha - I|, both (m, m): 1e-10 on the
+    diagonal (normalization), 1e-8 off it (orthogonality).
+    """
+    eye = np.eye(m)
+    cap = np.where(eye > 0.0, 1e-10, 1e-8)
+    for a in (eye, cap):
+        a.flags.writeable = False
+    return eye, cap
 
 
 def _resolved(B: np.ndarray, basis: BasisId, m: int) -> np.ndarray:
@@ -340,13 +356,21 @@ def _ideal_whitener(basis: BasisId, m: int) -> np.ndarray:
 
 def _pick_top(w: np.ndarray, alphas: np.ndarray, A: np.ndarray,
               T: np.ndarray | None) -> np.ndarray:
-    """Index of the top state per pencil; ties go to the youngest state."""
-    top = w.max(axis=1)
-    tied = w >= (top - TIE_RTOL * np.abs(top))[:, None]
-    out = w.shape[1] - 1 - tied[:, ::-1].argmax(axis=1)  # last tied
-    rows = np.flatnonzero(tied.sum(axis=1) > 1)
-    if T is None or not len(rows):
+    """Index of the top state per pencil; ties go to the youngest state.
+
+    ``w`` ascends along each row, so the top state is the last one, and a
+    row has a tie only where its last two eigenvalues are tied.
+    """
+    K, m = w.shape
+    out = np.full(K, m - 1, dtype=np.intp)
+    if m == 1 or T is None:
         return out
+    top = w[:, -1]
+    floor = top - TIE_RTOL * np.abs(top)
+    tie = w[:, -2] >= floor
+    if not tie.any():
+        return out
+    rows = np.flatnonzero(tie)
     # age reading <psi|T|psi>/<psi|A|psi> of every state of those pencils
     V = np.ascontiguousarray(_swap(alphas[rows]))[:, :, None, :]
     Vc = _swap(V)
@@ -355,7 +379,7 @@ def _pick_top(w: np.ndarray, alphas: np.ndarray, A: np.ndarray,
     has_volume = den > 0.0
     ages = np.where(has_volume, num / np.where(has_volume, den, 1.0), np.inf)
     # first tied state of least age; the first tied one if all read inf
-    tied = tied[rows]
+    tied = w[rows] >= floor[rows, None]
     pick = np.where(tied, ages, np.inf).argmin(axis=1)
     out[rows] = np.where(tied[np.arange(len(rows)), pick], pick,
                          tied.argmax(axis=1))

@@ -30,23 +30,40 @@ from .measure import Tick
 __all__ = ["parse_csv", "parse_rows", "serialize_csv"]
 
 
-def _time_of_day(field: str, date: str | None, lineno: int) -> float:
-    parts = field.split(":")
-    if len(parts) != 3:
-        raise InputError(f"line {lineno}: bad time-of-day {field!r}")
-    if date is None:
-        raise InputError(
-            f"line {lineno}: time-of-day values need an explicit date "
-            "(--date YYYY-MM-DD)")
-    try:
-        day = datetime.strptime(date, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-        h, m = int(parts[0]), int(parts[1])
-        s = float(parts[2])
-    except ValueError as exc:
-        raise InputError(f"line {lineno}: {exc}") from None
-    if not (0 <= h < 24 and 0 <= m < 60 and 0.0 <= s < 60.0):
-        raise InputError(f"line {lineno}: time-of-day out of range {field!r}")
-    return day.timestamp() + h * 3600 + m * 60 + s
+class _Clock:
+    """HH:MM:SS[.fff] fields of one parse, resolved against one date.
+
+    The date is parsed once, at the first time-of-day line, so a tape
+    without such lines never reads it and a bad date names that line.
+    """
+
+    def __init__(self, date: str | None):
+        self.date = date
+        self.midnight: float | None = None   # epoch seconds, UTC
+
+    def seconds(self, field: str, lineno: int) -> float:
+        parts = field.split(":")
+        if len(parts) != 3:
+            raise InputError(f"line {lineno}: bad time-of-day {field!r}")
+        if self.midnight is None:
+            if self.date is None:
+                raise InputError(
+                    f"line {lineno}: time-of-day values need an explicit "
+                    "date (--date YYYY-MM-DD)")
+            try:
+                day = datetime.strptime(self.date, "%Y-%m-%d")
+            except ValueError as exc:
+                raise InputError(f"line {lineno}: {exc}") from None
+            self.midnight = day.replace(tzinfo=timezone.utc).timestamp()
+        try:
+            h, m = int(parts[0]), int(parts[1])
+            s = float(parts[2])
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+        if not (0 <= h < 24 and 0 <= m < 60 and 0.0 <= s < 60.0):
+            raise InputError(
+                f"line {lineno}: time-of-day out of range {field!r}")
+        return self.midnight + h * 3600 + m * 60 + s
 
 
 def parse_csv(source, date: str | None = None) -> list[Tick]:
@@ -81,6 +98,7 @@ def _check_utf8(line: str, lineno: int) -> None:
 def _parse_lines(lines: Iterable[str], date: str | None
                  ) -> Iterator[tuple[float, float, float]]:
     prev_t = None
+    clock = _Clock(date)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -94,7 +112,7 @@ def _parse_lines(lines: Iterable[str], date: str | None
                 f"line {lineno}: expected 3 columns, got {len(fields)}")
         tf, pf, vf = (f.strip() for f in fields)
         try:
-            t = _time_of_day(tf, date, lineno) if ":" in tf else float(tf)
+            t = clock.seconds(tf, lineno) if ":" in tf else float(tf)
         except InputError:
             raise
         except ValueError:

@@ -135,16 +135,29 @@ def _check_finite(*columns: np.ndarray) -> None:
         raise InputError(_NOT_FINITE)
 
 
+# ticks per slice of _check_ticks, so its temporaries stay near 1 MB
+# however long the tape
+_CHECK_SLICE = 1 << 16
+
+
 def _check_ticks(t: np.ndarray, p: np.ndarray, dV: np.ndarray) -> None:
     """Refuse ticks with a non-finite field or a non-finite p^2 dV.
 
     p^2 dV is the largest term a tick adds to the moment rows; where it
     overflows, the rows and every reading after them would be inf or nan.
+    Both checks run over fixed slices of the columns, every slice's
+    fields before any p^2 dV, so a tape with both faults gets the same
+    refusal as from one check over the whole tape.
     """
-    _check_finite(t, p, dV)
+    cuts = range(0, len(t), _CHECK_SLICE)
+    for a in cuts:
+        b = a + _CHECK_SLICE
+        _check_finite(t[a:b], p[a:b], dV[a:b])
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(p * p * dV).all():
-            raise InputError(_OVERFLOW)
+        for a in cuts:
+            b = a + _CHECK_SLICE
+            if not np.isfinite(p[a:b] * p[a:b] * dV[a:b]).all():
+                raise InputError(_OVERFLOW)
 
 
 def _check_range(t, p, dV, a: int, b: int) -> None:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ import oracles
 from psima import (BasisId, CapabilityError, InputError, evaluate_all,
                    linearization, linearization_table, matrix_from_moments,
                    max_model_order)
+from psima.basis import chebyshev_doubling, legendre_in_chebyshev
 
 ALL_BASES = list(BasisId)
 
@@ -27,6 +30,86 @@ def test_recurrence_matches_reference_polynomials(basis):
         ref = oracles.poly_value(basis, m, xs)
         scale = np.maximum(np.abs(ref), 1.0)
         assert np.max(np.abs(Q[m] - ref) / scale) < 1e-11, m
+
+
+@pytest.mark.parametrize("orders", [1, 2, 3, 4, 5, 9, 23, 64, 149])
+def test_doubled_chebyshev_values_are_the_closed_form(orders):
+    x = np.concatenate(([0.0, 1.0, 0.5], np.linspace(0.0, 1.0, 201),
+                        np.random.default_rng(5).uniform(0.0, 1.0, 200)))
+    u = 2.0 * x - 1.0
+    T = evaluate_all(BasisId.CHEBYSHEV, orders, x)
+    # rounding of the doubling and of either reference grows like m^2 eps
+    tol = 1e-16 * orders ** 2 + 1e-15
+    closed = np.cos(np.arange(orders)[:, None] * np.arccos(u))
+    assert np.max(np.abs(T - closed)) <= tol
+    clenshaw = np.array([oracles.poly_value(BasisId.CHEBYSHEV, m, x)
+                         for m in range(orders)])
+    assert np.max(np.abs(T - clenshaw)) <= tol
+    # T_m(1) = 1 and T_m(-1) = (-1)^m are exact
+    assert np.all(T[:, 1] == 1.0)
+    assert np.array_equal(T[:, 0], (-1.0) ** np.arange(orders))
+
+
+def test_doubled_chebyshev_values_do_not_depend_on_the_other_points():
+    x = np.random.default_rng(6).uniform(0.0, 1.0, (7, 33))
+    T = chebyshev_doubling(149, 2.0 * x - 1.0)
+    assert T.shape == (149, 7, 33)
+    for i, j in ((0, 0), (3, 17), (6, 32)):
+        alone = chebyshev_doubling(149, 2.0 * x[i, j:j + 1] - 1.0)
+        assert np.array_equal(T[:, i, j], alone[:, 0])
+
+
+def _legendre_in_chebyshev_exact(n):
+    # P_{m+1} = ((2m+1) u P_m - m P_{m-1}) / (m+1) on Chebyshev coefficient
+    # vectors in exact rationals, with u T_k = (T_{k-1} + T_{k+1}) / 2
+    # (u T_0 = T_1)
+    rows = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
+    if n > 1:
+        rows.append([Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 2))
+    for m in range(1, n - 1):
+        cur, prev = rows[m], rows[m - 1]
+        u = [Fraction(0)] * n
+        for k, ck in enumerate(cur):
+            if ck:
+                if k == 0:
+                    u[1] += ck
+                else:
+                    u[k - 1] += ck / 2
+                    if k + 1 < n:
+                        u[k + 1] += ck / 2
+        rows.append([((2 * m + 1) * a - m * b) / (m + 1)
+                     for a, b in zip(u, prev)])
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 23, 149])
+def test_legendre_in_chebyshev_table_is_exact(n):
+    c = legendre_in_chebyshev(n)
+    exact = _legendre_in_chebyshev_exact(n)
+    # every entry is its exact value rounded once
+    assert c.tolist() == [[float(v) for v in row] for row in exact]
+    assert all(sum(row) == 1 for row in exact)
+    assert np.array_equal(c[0], np.eye(n)[0])
+    assert np.all(c >= 0.0)
+    assert np.array_equal(c, np.tril(c))
+    m, k = np.indices((n, n))
+    assert not c[(m - k) % 2 == 1].any()
+    assert np.all(np.abs(c.sum(axis=1) - 1.0) <= n * 2.0 ** -52)
+    assert not c.flags.writeable
+    assert legendre_in_chebyshev(n) is c
+
+
+@pytest.mark.parametrize("orders", [1, 2, 23, 64, 149])
+def test_table_times_chebyshev_is_legendre(orders):
+    x = np.linspace(0.0, 1.0, 101)
+    P = legendre_in_chebyshev(orders) @ evaluate_all(BasisId.CHEBYSHEV,
+                                                     orders, x)
+    tol = 1e-16 * orders ** 2 + 1e-15
+    assert np.max(np.abs(P - evaluate_all(BasisId.SHIFTED_LEGENDRE,
+                                          orders, x))) <= tol
+    ref = np.array([oracles.poly_value(BasisId.SHIFTED_LEGENDRE, m, x)
+                    for m in range(orders)])
+    assert np.max(np.abs(P - ref)) <= tol
 
 
 def test_known_low_order_values():

@@ -215,9 +215,10 @@ def test_selftest_passes_and_reports():
     r = run_cli("selftest")
     assert r.returncode == 0, r.stdout + r.stderr
     lines = r.stdout.splitlines()
-    assert sum(ln.startswith("ok ") for ln in lines) == 7
+    assert sum(ln.startswith("ok ") for ln in lines) == 8
     assert "ok shift-matrix-identity" in lines
-    assert lines[-1] == "all 7 checks passed"
+    assert "ok chebyshev-doubling-vs-cosine" in lines
+    assert lines[-1] == "all 8 checks passed"
 
 
 def test_log_env_smoke(tape):

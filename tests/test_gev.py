@@ -288,3 +288,72 @@ def test_dimension_search_probes_only_where_a_pencil_can_pass(
         assert probes == want, start
         for k in range(len(B)):
             assert _dims(B[k:k + 1], basis, start).tolist() == [ref[k]]
+
+
+def _pencil_with_spectrum(rng, lam):
+    # A = B V diag(lam) V^T B with V B-orthonormal, so the pencil's
+    # eigenvalues are lam
+    n = len(lam)
+    R = rng.standard_normal((n, n))
+    B = R @ R.T + n * np.eye(n)
+    Qo = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.solve(np.linalg.cholesky(B).T, Qo)
+    A = B @ V @ np.diag(lam) @ V.T @ B
+    return 0.5 * (A + A.T), B
+
+
+def _brute_force_pick(lam, alphas, A, T):
+    # the top and bottom states by a walk over every state: ties at the
+    # top go to the first of least age, or the first tied one if none
+    # reads volume
+    m = len(lam)
+    top = max(lam)
+    tied = [i for i in range(m) if lam[i] >= top - gev.TIE_RTOL * abs(top)]
+    low = min(range(m), key=lambda i: (lam[i], i))
+    if len(tied) == 1:
+        return tied[0], low
+    ages = []
+    for i in tied:
+        a = alphas[:, i]
+        den = a @ A @ a
+        ages.append((a @ T @ a) / den if den > 0.0 else np.inf)
+    if np.all(np.isinf(ages)):
+        return tied[0], low
+    return tied[int(np.argmin(ages))], low
+
+
+def test_picks_match_a_brute_force_pick_on_a_mixed_stack():
+    rng = np.random.default_rng(12)
+    n = 5
+    spectra = [[1.0, 2.0, 3.0, 4.0, 5.0],          # no tie
+               [0.5, 1.0, 2.0, 2.0, 2.0],          # tied top
+               [3.0] * 5,                          # every state tied
+               [-1e-13, -1e-13, 0.0, 1.0, 4.0],    # clamped to 0
+               [-1e-13, 0.0, 2.0, 2.0, 2.0]]       # both
+    pencils = [_pencil_with_spectrum(rng, lam) for lam in spectra]
+    pencils.append((np.zeros((n, n)), pencils[0][1]))   # every age inf
+    one = np.diag([2.0] + [1e-20] * (n - 1))            # solves at m = 1
+    pencils.append((3.0 * one, one))
+    pencils.append((np.zeros((n, n)), np.zeros((n, n))))  # no dimension
+    A = np.stack([a for a, _ in pencils])
+    B = np.stack([b for _, b in pencils])
+    S = rng.standard_normal((len(A), n, n))
+    T = S @ S.swapaxes(1, 2)
+    sol = solve_stack(A, B, T)
+    assert sol.effective_n.tolist() == [n] * 6 + [1, 0]
+    # the clamp made exact zeros, and the lambdas still ascend
+    assert (sol.lambdas[3, :2] == 0.0).all() and sol.lambdas[4, 0] == 0.0
+    for k in range(len(A)):
+        m = int(sol.effective_n[k])
+        lam = sol.lambdas[k, :m]
+        assert np.all(np.diff(lam) >= 0.0)
+        want = ((0, 0) if m == 0 else
+                _brute_force_pick(lam.tolist(), sol.alphas[k, :m, :m],
+                                  A[k, :m, :m], T[k, :m, :m]))
+        assert (sol.i_IH[k], sol.i_IL[k]) == want, k
+        alone = solve_stack(A[k:k + 1], B[k:k + 1], T[k:k + 1])
+        for a, b in zip(alone, sol):
+            assert a.tobytes() == b[k:k + 1].tobytes(), k
+    # the tied rows went to the tie-break, and not all to the last state
+    assert sol.i_IH[[1, 2, 4]].tolist() != [n - 1] * 3
+    assert sol.i_IH[5] == 0

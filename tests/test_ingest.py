@@ -1,4 +1,5 @@
 import io
+from datetime import datetime, timezone
 
 import pytest
 
@@ -61,6 +62,29 @@ def test_time_of_day_out_of_range():
 def test_bad_date_string():
     with pytest.raises(InputError):
         parse_csv(io.StringIO("09:30:00,100.0,10\n"), date="not-a-date")
+
+
+def test_bad_date_names_the_first_time_of_day_line():
+    # epoch lines never read the date; the first time-of-day line does
+    body = "time,price,shares\n1709631000,100.0,10\n09:30:01,100.0,10\n"
+    with pytest.raises(InputError, match="^line 3: .*not-a-date"):
+        parse_csv(io.StringIO(body), date="not-a-date")
+    with pytest.raises(InputError, match="^line 3: .*--date"):
+        parse_csv(io.StringIO(body))
+    assert len(parse_csv(io.StringIO(body.rsplit("\n", 2)[0]),
+                         date="not-a-date")) == 1
+
+
+def test_time_of_day_bits_match_the_datetime_sum():
+    body = "".join(f"{h:02d}:{m:02d}:{s:06.3f},100.0,10\n"
+                   for h, m, s in ((0, 0, 0.0), (9, 30, 0.25), (9, 30, 59.999),
+                                   (23, 59, 59.5)))
+    got = [tk.t for tk in parse_csv(io.StringIO(body), date="2024-03-05")]
+    day = datetime(2024, 3, 5, tzinfo=timezone.utc)
+    want = [day.timestamp() + h * 3600 + m * 60 + s
+            for h, m, s in ((0, 0, 0.0), (9, 30, 0.25), (9, 30, 59.999),
+                            (23, 59, 59.5))]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_out_of_order_rows_name_the_line():

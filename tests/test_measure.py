@@ -12,7 +12,7 @@ from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
 from psima._kernels import (PRUNE_OMEGA, accumulate_block, shift_matrices,
                             shift_matrix)
 from psima.basis import evaluate_all, max_model_order
-from psima.measure import _ROW, PRUNE_HORIZON, _single_shift
+from psima.measure import _CHECK_SLICE, _ROW, PRUNE_HORIZON, _single_shift
 from psima.synth import steady
 
 ALL_BASES = list(BasisId)
@@ -261,16 +261,22 @@ def test_moment_decay_is_monotone_without_new_mass():
 
 @pytest.mark.parametrize("basis", ALL_BASES)
 def test_block_shift_builder_is_the_scalar_builder_bit_for_bit(basis):
-    # gaps in tau units: none, tiny, about one tau, past the prune horizon
+    # gaps in tau units: none, tiny, about one tau, past the prune horizon,
+    # then a stack of 256 as run_over builds: a product taken over the
+    # whole stack at once would round each gap by the stack's size
     d = np.array([0.0, 1e-9, 0.73, 1.0, 1.37, 36.9, 41.5])
     assert d[-1] > PRUNE_HORIZON
+    d = np.concatenate((d, np.random.default_rng(8).exponential(0.01, 249)))
     block = shift_matrices(basis, d, 23)
-    assert block.shape == (len(d), 23, 23)
+    assert block.shape == (256, 23, 23)
     for k, dk in enumerate(d):
         ref = shift_matrix(basis, float(dk), 23)
         assert np.all(np.isfinite(ref))
         assert np.array_equal(block[k], ref)
         assert np.array_equal(np.signbit(block[k]), np.signbit(ref))
+    # and so does a stack of every size up to 17, and a larger one
+    for a, b in [(7, 7 + k) for k in range(1, 18)] + [(0, 7), (100, 229)]:
+        assert np.array_equal(shift_matrices(basis, d[a:b], 23), block[a:b])
 
 
 # gaps in tau units: none, tiny, under one tau, past the prune horizon
@@ -499,6 +505,34 @@ def test_tick_arrays_reads_a_tuple_of_ticks_as_rows(rows):
     # read as columns, these rows' times would fall and run_over refuse them
     assert (run_over(tuple(rows), BasisId.CHEBYSHEV, 2, 4.0)
             == run_over(rows, BasisId.CHEBYSHEV, 2, 4.0))
+
+
+@pytest.mark.parametrize("bad", ["nan time", "inf price", "overflow",
+                                 "overflow then nan"])
+def test_tick_checks_refuse_a_bad_tick_past_a_slice_boundary(bad):
+    # the checks run slice by slice; the bad tick is the first of the
+    # second slice, and a tape with both faults is refused for its
+    # non-finite field, as a check over the whole tape refuses it
+    n = _CHECK_SLICE + 5
+    t, p, dV = np.arange(n, dtype=float), np.full(n, 50.0), np.ones(n)
+    if bad == "nan time":
+        t[_CHECK_SLICE] = np.nan
+    elif bad == "inf price":
+        p[_CHECK_SLICE] = np.inf
+    elif bad == "overflow":
+        dV[_CHECK_SLICE] = 1e306
+    else:
+        dV[_CHECK_SLICE - 1] = 1e306
+        t[_CHECK_SLICE] = np.nan
+    message = "price \\* price" if bad == "overflow" else "must be finite"
+    with pytest.raises(InputError, match=message):
+        tick_arrays((t, p, dV))
+    with pytest.raises(InputError, match=message):
+        MomentEngine(BasisId.CHEBYSHEV, 2, 10.0).advance_to(
+            float(n), t, p, dV, 0, n)
+    # the ticks before the bad one pass
+    assert len(tick_arrays((t[:_CHECK_SLICE - 1], p[:_CHECK_SLICE - 1],
+                            dV[:_CHECK_SLICE - 1]))[0]) == _CHECK_SLICE - 1
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
