@@ -2,9 +2,10 @@
 
 A alpha = lambda B alpha with A the volume (flow) operator and B the Gram
 matrix. B is positive definite whenever the window holds enough spread
-ticks; the solve reduces it by Cholesky, diagonalizes the congruent
-symmetric matrix, and maps eigenvectors back. Eigenstates come out
-B-orthonormal, so <psi|psi> = 1 without extra normalization.
+ticks; the solve whitens it with the factors of one symmetric
+eigensolve, diagonalizes the congruent symmetric matrix, and maps
+eigenvectors back. Eigenstates come out B-orthonormal, so
+<psi|psi> = 1 without extra normalization.
 
 Sparse windows make B numerically singular. Rather than regularize, the
 solver drops the highest polynomial order and retries; the dimension that
@@ -23,14 +24,15 @@ last two are tied.
 The first two gates, pivot and resolution, each pass on a prefix 1..r of
 the dimensions. The pivot gate is a running minimum and maximum of the
 Gram diagonal. The resolution gate bounds the condition number of the
-window Gram whitened by the ideal window's inverse Cholesky factor W.
-W is lower-triangular, so the whitened m-by-m Gram is the leading block
-of the whitened n-by-n one, and by Cauchy interlacing (Horn & Johnson,
+window Gram whitened by the ideal window's inverse Cholesky factor W0,
+and its eigensolve is the one that whitens the pencil. W0 is
+lower-triangular, so the whitened m-by-m Gram is the leading block of
+the whitened n-by-n one, and by Cauchy interlacing (Horn & Johnson,
 Matrix Analysis, 4.3) the extreme eigenvalues of a leading block lie
 inside those of the whole: its conditioning can only fall as m falls.
 So the search for r need not start at n. It starts where the caller's
-last solve stopped, probes that dimension and the one above on the whole
-stack, and walks on only for the pencils that bracket does not settle.
+last solve stopped: above that dimension it walks up only while the
+gate passes, and below it each dimension gates and solves in one step.
 """
 
 from __future__ import annotations
@@ -46,13 +48,17 @@ from .errors import DegenerateStateError, EmptyWindowError, InputError
 
 __all__ = ["WaveFunction", "SpectralDecomposition", "solve_pencil", "rayleigh"]
 
-# Cholesky pivot acceptance relative to the largest Gram diagonal.
+# Pivot acceptance: the smallest Gram diagonal relative to the largest,
+# and for a bare pencil the smallest eigenvalue of its equilibrated Gram
+# relative to the largest.
 PIVOT_RTOL = 1e-13
 # Eigenvalues within this relative band of the max are tied.
 TIE_RTOL = 1e-10
 # Largest accepted conditioning of the window Gram against the ideal
-# window. Calibrated so accepted solves keep normalization error around
-# 1e-11, an order under the published 1e-10 bound.
+# window. The gate's eigensolve also whitens the pencil, whose states
+# are then B-orthonormal to about u * KAPPA_CAP: calibrated so accepted
+# solves keep normalization error around 1e-11, under the published
+# 1e-10 bound.
 KAPPA_CAP = 1e5
 
 
@@ -107,10 +113,16 @@ def solve_pencil(A, B, tie_breaker=None) -> SpectralDecomposition:
     Bf = _entries(B)
     if Af.shape != Bf.shape or Af.ndim != 2 or Af.shape[0] != Af.shape[1]:
         raise InputError("pencil operators must be square and same size")
+    if not len(Af):
+        raise InputError("pencil operators must not be empty")
     basis = getattr(A, "basis", None)
     if basis is not None and basis is not getattr(B, "basis", basis):
         raise InputError("pencil operators must share a basis")
     T = None if tie_breaker is None else _entries(tie_breaker)[None]
+    if T is not None and T.shape[1:] != Af.shape:
+        raise InputError("tie-breaker must match the pencil's size")
+    if not all(np.isfinite(X).all() for X in (Af, Bf, T) if X is not None):
+        raise InputError("pencil operators must be finite")
     sol = solve_stack(Af[None], Bf[None], T, basis)
     m = int(sol.effective_n[0])
     if m == 0:
@@ -132,11 +144,14 @@ def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
     """solve_pencil over a stack of (n, n) pencils, (K, n, n) each.
 
     Every pencil first tries the largest dimension its Gram passes the
-    pivot and resolution gates at (_dims, searching from ``start``,
-    default n); only those that fail a later gate there try one lower,
-    and so on, each dimension solving its remaining pencils together.
-    ``T`` stacks the tie-breakers and ``basis`` switches the resolution
-    gate on, as the OperatorMatrix wrappers do for solve_pencil.
+    pivot and resolution gates at, and each that fails a gate there tries
+    one lower, each dimension solving its remaining pencils together. The
+    pivot gate passes on a prefix of the dimensions, and so does the
+    resolution gate (see the module docstring): a pencil tries no
+    dimension its pivot gate misses, and one above ``start`` (default n)
+    only once it has passed the resolution gate at every dimension from
+    ``start`` + 1 up. ``T`` stacks the tie-breakers and ``basis`` sets the
+    resolution gate, as the OperatorMatrix wrappers do for solve_pencil.
     """
     K, n = B.shape[0], B.shape[-1]
     effective_n = np.zeros(K, dtype=np.intp)
@@ -144,50 +159,6 @@ def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
     alphas = np.zeros((K, n, n))
     i_IH = np.zeros(K, dtype=np.intp)
     i_IL = np.zeros(K, dtype=np.intp)
-    dims = _dims(B, basis, n if start is None else start)
-    if K == 1:
-        for m in range(int(dims[0]), 0, -1):
-            passed, w, al, top = _solve_dim(
-                A[:, :m, :m], B[:, :m, :m],
-                None if T is None else T[:, :m, :m])
-            if len(passed):
-                effective_n[0] = m
-                lambdas[0, :m] = w[0]
-                alphas[0, :m, :m] = al[0]
-                i_IH[0] = top[0]
-                break
-        return PencilStack(effective_n, lambdas, alphas, i_IH, i_IL)
-    todo = np.flatnonzero(dims)
-    for m in range(int(dims.max(initial=0)), 0, -1):
-        cand = todo[dims[todo] >= m]
-        if not len(cand):
-            continue
-        passed, w, al, top = _solve_dim(
-            A[cand, :m, :m], B[cand, :m, :m],
-            None if T is None else T[cand, :m, :m])
-        if not len(passed):
-            continue
-        done = cand[passed]
-        effective_n[done] = m
-        lambdas[done, :m] = w
-        alphas[done, :m, :m] = al
-        i_IH[done] = top
-        todo = todo[effective_n[todo] == 0]
-        if not len(todo):
-            break
-    return PencilStack(effective_n, lambdas, alphas, i_IH, i_IL)
-
-
-def _dims(B: np.ndarray, basis: BasisId | None, start: int) -> np.ndarray:
-    """Largest dimension passing the pivot and resolution gates, per Gram.
-
-    0 where even the 1-by-1 Gram fails. Both gates pass on a prefix of
-    the dimensions (see the module docstring), so the resolution gate is
-    probed on the whole stack at start + 1 and then upward while pencils
-    pass, and at start and then downward for the pencils that fail; a
-    dimension no searching pencil's pivot gate reaches is not probed.
-    """
-    n = B.shape[-1]
     # pivot gate of every leading dimension at once: column m-1 holds the
     # verdict on the m-by-m Gram's diagonal
     d = _diag(B)
@@ -195,33 +166,32 @@ def _dims(B: np.ndarray, basis: BasisId | None, start: int) -> np.ndarray:
     top = (~((dmin <= 0.0)
              | (dmin < PIVOT_RTOL * np.maximum.accumulate(d, axis=1)))
            ).sum(axis=1)
-    if basis is None:
-        return top
-    # resolution gate: compare the window Gram against the ideal dense
-    # window on the same polynomial subspace. The comparison is a pure
-    # quadratic-form ratio, so all bases compute the same number and
-    # reduce their dimension at the same samples.
-    h = min(max(int(start), 1), n)
-    # masks over the whole stack; count_nonzero is the cheapest test of
-    # a small mask, and a live stack of one runs this walk on every tick
-    dims = np.zeros(len(B), dtype=np.intp)
-    up = top > h
+    # reach: the largest dimension each unsolved pencil may still try.
+    # Above the start it is walked up while the resolution gate passes.
+    h = min(max(n if start is None else int(start), 1), n)
+    reach = np.minimum(top, h)
+    up = np.flatnonzero(top > h)
     m = h
-    while np.count_nonzero(up):
+    while len(up):
         m += 1
-        up &= _resolved(B[:, :m, :m], basis, m)
-        dims[up] = m
-        up &= top > m
-    down = (dims == 0) & (top > 0)
-    for m in range(h, 0, -1):
-        if not np.count_nonzero(down):
-            break
-        probe = down & (top >= m)
-        if np.count_nonzero(probe):
-            ok = probe & _resolved(B[:, :m, :m], basis, m)
-            dims[ok] = m
-            down &= ~ok
-    return dims
+        up = up[_resolved(B[up, :m, :m], basis, m)[0]]
+        reach[up] = m
+        up = up[top[up] > m]
+    m = int(reach.max(initial=0))
+    while m:
+        cand = np.flatnonzero(reach >= m)
+        passed, w, al, ih = _solve_dim(
+            A[cand, :m, :m], B[cand, :m, :m],
+            None if T is None else T[cand, :m, :m], basis)
+        if len(passed):
+            done = cand[passed]
+            effective_n[done] = m
+            lambdas[done, :m] = w
+            alphas[done, :m, :m] = al
+            i_IH[done] = ih
+            reach[done] = 0
+        m = min(m - 1, int(reach.max()))
+    return PencilStack(effective_n, lambdas, alphas, i_IH, i_IL)
 
 
 def _swap(X: np.ndarray) -> np.ndarray:
@@ -244,62 +214,37 @@ def _keep(mask: np.ndarray, *stacks):
     return tuple(None if a is None else a[mask] for a in stacks)
 
 
-def _cholesky(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of a stack and a mask of those that exist."""
-    try:
-        return np.linalg.cholesky(S), np.ones(len(S), dtype=bool)
-    except np.linalg.LinAlgError:
-        L = np.zeros_like(S)
-        ok = np.zeros(len(S), dtype=bool)
-        for k, Sk in enumerate(S):
-            try:
-                L[k] = np.linalg.cholesky(Sk)
-                ok[k] = True
-            except np.linalg.LinAlgError:
-                pass
-        return L, ok
+def _solve_dim(A, B, T, basis):
+    """Every gate after the pivot gate, for a stack of (m, m) pencils.
 
-
-def _solve_dim(A, B, T):
-    """The gates after pivot and resolution, for a stack of (m, m) pencils.
-
-    One whitening W = L^-1 D, with D B D = L L^T, reduces each pencil to
-    the symmetric S = W A W^T; its eigenvectors map back as W^T U. Both
-    triangular factors, L here and C of the straightening, are inverted
-    once and applied as products. The normalization and orthogonality
-    gates are one comparison of |alpha^T B alpha - I| against a cached
-    cap matrix. Returns the stack positions of the pencils that pass
-    every gate and, for those in order, the clamped eigenvalues
-    (ascending, as eigh returns them), B-orthonormal states (columns)
-    and the indices of the top states; the bottom state is always 0.
+    The resolution gate's eigensolve M = V Lambda V^T, M = W0 B W0^T,
+    also whitens: W = Lambda^-1/2 V^T W0 has W B W^T = I, and reduces
+    each pencil to the symmetric S = W A W^T, whose eigenvectors map back
+    as W^T U (Golub & Van Loan, Matrix Computations, 8.7.2). The gate's
+    cap on the conditioning of M bounds how far the states drift from
+    B-orthonormality; the normalization and orthogonality gates check
+    that drift, as one comparison of |alpha^T B alpha - I| against a
+    cached cap matrix, and the residual gate the eigenpairs. Returns the
+    stack positions of the pencils that pass every gate and, for those in
+    order, the clamped eigenvalues (ascending, as eigh returns them),
+    B-orthonormal states (columns) and the indices of the top states; the
+    bottom state is always 0.
     """
     none = (np.zeros(0, dtype=np.intp),) + (None,) * 3
     idx = np.arange(len(B))
-    # equilibrate to unit diagonal before factorizing; a congruence,
-    # so eigenvalues are untouched and states map back through D
-    D = 1.0 / np.sqrt(_diag(B))
-    L, ok = _cholesky(B * (D[:, :, None] * D[:, None, :]))
-    ok &= ~(_diag(L).min(axis=1) ** 2 < PIVOT_RTOL)
+    ok, lam, X = _resolved(B, basis, B.shape[-1])
     if not ok.all():
-        idx, A, B, T, L, D = _keep(ok, idx, A, B, T, L, D)
+        idx, A, B, T, lam, X = _keep(ok, idx, A, B, T, lam, X)
         if not len(idx):
             return none
-    W = np.linalg.inv(L) * D[:, None, :]
+    W = X / np.sqrt(lam)[:, :, None]
     S = W @ A @ _swap(W)
     S = 0.5 * (S + _swap(S))
     w, U = np.linalg.eigh(S)
     alphas = _swap(W) @ U
 
-    # straighten residual orthonormality drift with the Gram factor of
-    # the computed states, then verify the quality bounds consumers rely
-    # on; a dimension that still misses them is not solvable at working
-    # precision and gets dropped
-    C, ok = _cholesky(_swap(alphas) @ B @ alphas)
-    if not ok.all():
-        idx, A, B, T, C, w, alphas = _keep(ok, idx, A, B, T, C, w, alphas)
-        if not len(idx):
-            return none
-    alphas = alphas @ _swap(np.linalg.inv(C))
+    # verify the quality bounds consumers rely on; a dimension that
+    # misses them is not solvable at working precision and gets dropped
     Balphas = B @ alphas
     eye, cap = _orthonormality_cap(alphas.shape[-1])
     ok = ~(np.abs(_swap(alphas) @ Balphas - eye) > cap).any(axis=(1, 2))
@@ -334,18 +279,28 @@ def _orthonormality_cap(m: int) -> tuple[np.ndarray, np.ndarray]:
     return eye, cap
 
 
-def _resolved(B: np.ndarray, basis: BasisId, m: int) -> np.ndarray:
-    """Window Gram conditioning against the ideal window, capped.
+def _resolved(B: np.ndarray, basis: BasisId | None, m: int):
+    """The resolution gate on a (K, m, m) stack of Grams, and its factors.
 
-    One flag per Gram matrix of the (K, m, m) stack.
+    Whitens each Gram by W0, the ideal window's inverse Cholesky factor,
+    or, for a bare pencil (``basis`` None), its own inverse square-root
+    diagonal, and takes the eigensolve M = W0 B W0^T = V Lambda V^T.
+    Returns one flag per Gram, the eigenvalues Lambda (ascending) and
+    V^T W0: Lambda^-1/2 V^T W0 whitens B. Against the ideal window the
+    gate caps the conditioning of M at KAPPA_CAP, a comparison of
+    quadratic forms that every basis makes alike, so all bases reduce
+    their dimension at the same samples; a bare pencil's M only has to
+    stay PIVOT_RTOL away from singular.
     """
-    if m == 1:
-        return np.ones(len(B), dtype=bool)
-    W = _ideal_whitener(basis, m)
-    M = W @ B @ W.T
+    W0 = (np.eye(m) / np.sqrt(_diag(B))[:, None, :] if basis is None
+          else _ideal_whitener(basis, m))
+    M = W0 @ B @ _swap(W0)
     M = 0.5 * (M + _swap(M))
-    ev = np.linalg.eigvalsh(M)
-    return (ev[:, 0] > 0.0) & (ev[:, -1] <= KAPPA_CAP * ev[:, 0])
+    lam, V = np.linalg.eigh(M)
+    lo, hi = lam[:, 0], lam[:, -1]
+    ok = (lo > 0.0) & (lo >= PIVOT_RTOL * hi if basis is None
+                       else hi <= KAPPA_CAP * lo)
+    return ok, lam, _swap(V) @ W0
 
 
 @lru_cache(maxsize=None)

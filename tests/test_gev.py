@@ -4,11 +4,11 @@ import pytest
 import oracles
 from conftest import make_stream, regular_stream
 from psima import (BasisId, DegenerateStateError, EmptyWindowError,
-                   MeasureKind, MomentEngine, flow, gram, rayleigh,
+                   InputError, MeasureKind, MomentEngine, flow, gram, rayleigh,
                    solve_pencil, tick_arrays)
 from psima.basis import linearization_table, matrix_from_moments
 from psima import gev
-from psima.gev import _dims, _resolved, solve_stack
+from psima.gev import _resolved, solve_stack
 from psima.synth import spike, steady
 
 
@@ -103,6 +103,28 @@ def test_zero_pencil_reports_empty_window():
     Z = np.zeros((5, 5))
     with pytest.raises(EmptyWindowError):
         solve_pencil(Z, Z)
+
+
+@pytest.mark.parametrize("which, bad", [("A", np.nan), ("B", np.inf),
+                                        ("B", -np.inf), ("T", np.nan)])
+def test_non_finite_operators_are_refused(which, bad):
+    rng = np.random.default_rng(4)
+    ops = dict(zip("AB", _random_pencil(rng, 5)), T=np.eye(5))
+    ops[which][2, 1] = bad
+    with pytest.raises(InputError, match="must be finite"):
+        solve_pencil(ops["A"], ops["B"], tie_breaker=ops["T"])
+
+
+def test_empty_operators_are_refused():
+    Z = np.zeros((0, 0))
+    with pytest.raises(InputError, match="must not be empty"):
+        solve_pencil(Z, Z)
+
+
+def test_tie_breaker_of_another_size_is_refused():
+    A, B = _random_pencil(np.random.default_rng(5), 5)
+    with pytest.raises(InputError, match="tie-breaker"):
+        solve_pencil(A, B, tie_breaker=np.eye(4))
 
 
 def test_tie_break_prefers_younger_state():
@@ -213,7 +235,7 @@ def test_dimension_search_start_changes_nothing(benchmark_tapes, tape, basis):
     A, B, T = ops[:, 1], ops[:, 0], ops[:, 3]
     # the resolution gate passes on a prefix of the dimensions of every
     # pencil on the tape (interlacing), so any start finds the same one
-    flags = np.stack([_resolved(B[:, :m, :m], basis, m)
+    flags = np.stack([_resolved(B[:, :m, :m], basis, m)[0]
                       for m in range(1, n + 1)], axis=1)
     assert not (flags[:, 1:] & ~flags[:, :-1]).any()
     assert not flags[:, -1].all()
@@ -240,54 +262,105 @@ def test_dimension_search_start_changes_nothing(benchmark_tapes, tape, basis):
                 assert a.tobytes() == b[k:k + 1].tobytes(), (start, k)
 
 
+def _tape_ops(tape, basis, n=12):
+    # the time, volume, price and age operators at every tick of a tape
+    t, p, dV = tape
+    eng = MomentEngine(basis, n, 256.0)
+    rows = eng.advance_steps(t, t, p, dV, 0, np.arange(1, len(t) + 1))
+    return matrix_from_moments(rows[:, :4], n,
+                               linearization_table(basis, n - 1))
+
+
+def _gate_tops(B, basis):
+    # the largest dimension of each Gram's pivot-gate prefix, and of its
+    # prefix passing both the pivot and the resolution gate
+    n = B.shape[-1]
+    d = np.diagonal(B, axis1=1, axis2=2)
+    dmin = np.minimum.accumulate(d, axis=1)
+    pivot = (dmin > 0.0) & (dmin >= gev.PIVOT_RTOL
+                            * np.maximum.accumulate(d, axis=1))
+    flags = np.stack([_resolved(B[:, :m, :m], basis, m)[0]
+                      for m in range(1, n + 1)], axis=1)
+    return (pivot.sum(axis=1),
+            np.logical_and.accumulate(pivot & flags, axis=1).sum(axis=1))
+
+
 @pytest.mark.parametrize("basis", [BasisId.LAGUERRE,
                                    BasisId.SHIFTED_LEGENDRE])
 def test_dimension_search_probes_only_where_a_pencil_can_pass(
         benchmark_tapes, basis, monkeypatch):
     n = 12
-    t, p, dV = benchmark_tapes["live"]
-    eng = MomentEngine(basis, n, 256.0)
-    rows = eng.advance_steps(t, t, p, dV, 0, np.arange(1, len(t) + 1))
-    B = matrix_from_moments(rows[:, :1], n,
-                            linearization_table(basis, n - 1))[:, 0]
+    ops = _tape_ops(benchmark_tapes["live"], basis, n)
     # the first pencil of each dimension the tape resolves, so every
     # start has pencils that walk up and pencils that walk down; one whose
-    # pivot gate fails above dimension 3, and a zero Gram
-    dims = _dims(B, basis, n)
-    B = B[[int(np.flatnonzero(dims == m)[0]) for m in np.unique(dims)]]
-    cut = B[-1].copy()
-    cut[3, :] = cut[:, 3] = 0.0
-    B = np.concatenate([B, cut[None], np.zeros((1, n, n))])
-    d = np.diagonal(B, axis1=1, axis2=2)
-    dmin = np.minimum.accumulate(d, axis=1)
-    top = ((dmin > 0.0) & (dmin >= gev.PIVOT_RTOL
-                           * np.maximum.accumulate(d, axis=1))).sum(axis=1)
+    # pivot gate fails above dimension 3 (scaled, so that its Gram's
+    # first entry names it among the others), and a zero pencil
+    _, r = _gate_tops(ops[:, 0], basis)
+    ops = ops[[int(np.flatnonzero(r == m)[0]) for m in np.unique(r)]]
+    cut = 2.0 * ops[-1]
+    cut[:, 3, :] = cut[:, :, 3] = 0.0
+    ops = np.concatenate([ops, cut[None], np.zeros((1,) + cut.shape)])
+    A, B, T = ops[:, 1], ops[:, 0], ops[:, 3]
+    top, r = _gate_tops(B, basis)
     assert top[-2:].tolist() == [3, 0]
+    # no pencil of pivot top 0 is ever probed
+    name = {float(B[k, 0, 0]): k for k in np.flatnonzero(top)}
+    assert len(name) == np.count_nonzero(top)
     probes = []
     resolved = gev._resolved
 
     def counted(Bm, basis, m):
-        probes.append(m)
+        probes.append((m, sorted(name[float(b)] for b in Bm[:, 0, 0])))
         return resolved(Bm, basis, m)
 
     monkeypatch.setattr(gev, "_resolved", counted)
-    ref = _dims(B, basis, n)
-    assert len(set(ref.tolist())) > 6
+    ref = solve_stack(A, B, T, basis)
+    e = ref.effective_n
+    assert len(set(e.tolist())) > 6
     for start in range(1, n + 1):
         probes.clear()
-        got = _dims(B, basis, start)
-        assert got.tolist() == ref.tolist()
-        # a probe at m above the start is needed by the pencils whose
-        # pivot gate reaches m and that passed at m - 1 (or wait at
-        # start + 1); one at m up to the start by those that reach m and
-        # resolve no more than m
-        want = [m for m in range(start + 1, n + 1)
-                if ((top >= m) & ((ref >= m - 1) | (m == start + 1))).any()]
-        want += [m for m in range(start, 0, -1)
-                 if ((top >= m) & (ref <= m)).any()]
+        got = solve_stack(A, B, T, basis, start)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+        # the walk above the start probes m on the pencils whose pivot
+        # gate reaches m and that passed at m - 1 (all that reach
+        # start + 1 at first), until none is left
+        want = []
+        for m in range(start + 1, n + 1):
+            walk = (top >= m) & ((r >= m - 1) | (m == start + 1))
+            if not walk.any():
+                break
+            want.append((m, np.flatnonzero(walk).tolist()))
+        # then each dimension, from the highest one reached, gates the
+        # pencils not yet solved that reach it: above the start, those
+        # the walk passed there; up to the start, those whose pivot gate
+        # reaches it. A dimension no such pencil reaches is skipped.
+        reach = np.maximum(np.minimum(top, start), r)
+        for m in range(n, 0, -1):
+            cand = np.flatnonzero((reach >= m) & (e <= m))
+            if len(cand):
+                want.append((m, cand.tolist()))
         assert probes == want, start
         for k in range(len(B)):
-            assert _dims(B[k:k + 1], basis, start).tolist() == [ref[k]]
+            alone = solve_stack(A[k:k + 1], B[k:k + 1], T[k:k + 1], basis,
+                                start)
+            assert alone.effective_n.tolist() == [e[k]]
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+@pytest.mark.parametrize("tape", ["criterion10", "live"])
+def test_later_gates_drop_no_dimension_on_the_benchmark_tapes(
+        benchmark_tapes, tape, basis):
+    # every pencil solves at the top of its resolved prefix: the whitening
+    # by the resolution gate's own factors is accurate enough that no
+    # pencil on these tapes drops a dimension at the normalization,
+    # orthogonality or residual gate
+    ops = _tape_ops(benchmark_tapes[tape], basis)[::8]
+    A, B, T = ops[:, 1], ops[:, 0], ops[:, 3]
+    _, r = _gate_tops(B, basis)
+    sol = solve_stack(A, B, T, basis)
+    assert (sol.effective_n == r).all()
+    assert len(set(r.tolist())) > 2
 
 
 def _pencil_with_spectrum(rng, lam):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_stream, regular_stream, rel_err
@@ -343,6 +345,46 @@ def test_deviation_column_for_constant_price_is_zero():
     eng = _run_engine(ticks, n=6, tau=64.0)
     s = evaluate_at(ticks[-1].t, eng)
     assert s.p_std == pytest.approx(0.0, abs=1e-5)
+
+
+# Worst moves the quiet-spell identity allows, relative, about ten times
+# the largest seen on the live_laguerre benchmark tape at n 12, tau 256:
+# lambda_IH and P_IH held there to 1.7e-11 and T_IH + gap to 6.0e-9 for
+# the exponential bases, and to 9.1e-9 and 6.8e-8 for Laguerre, whose
+# pencils are conditioned worse. lambda_IL is held to lambda_IH's bound,
+# relative to lambda_IH.
+QUIET_TOL = {BasisId.LAGUERRE: (1e-7, 7e-7),
+             BasisId.SHIFTED_LEGENDRE: (2e-10, 6e-8),
+             BasisId.CHEBYSHEV: (2e-10, 6e-8)}
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(100, 1500),
+       gap=st.floats(-1.0, np.log2(300.0)).map(np.exp2))
+def test_a_quiet_spell_keeps_the_spectrum(basis, seed, k, gap):
+    # a step with no tick maps every operator by one congruence, G(.)G^T
+    # times the window decay, and adds gap * A to the age operator: the
+    # pencil keeps its eigenvalues, its top state reads the same price
+    # and an age older by the gap. The resolution gate compares against
+    # a fixed ideal window, so this holds where effective_n does: for the
+    # exponential bases mostly in gaps under about 30 s, hence gaps
+    # log-uniform over 0.5-300 s.
+    t, p, dV = tick_arrays(make_stream(seed, k))
+    eng = MomentEngine(basis, 12, 256.0)
+    eng.advance_to(t[-1], t, p, dV, 0, k)
+    before = evaluate_at(t[-1], eng)
+    t_now = float(t[-1] + gap)
+    eng.advance_to(t_now)
+    after = evaluate_at(t_now, eng)
+    assume(after.effective_n == before.effective_n)
+    tol, tol_age = QUIET_TOL[basis]
+    scale = abs(before.lambda_IH)
+    assert abs(after.lambda_IH - before.lambda_IH) <= tol * scale
+    assert abs(after.lambda_IL - before.lambda_IL) <= tol * scale
+    assert abs(after.P_IH - before.P_IH) <= tol * abs(before.P_IH)
+    assert (abs(after.T_IH - (before.T_IH + gap))
+            <= tol_age * (before.T_IH + gap))
 
 
 def test_phi_average_is_price_reading(stream400):
