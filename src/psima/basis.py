@@ -15,8 +15,7 @@ point and re-expanding a product Q_j*Q_k in the same family
 into n-by-n operator matrices. Laguerre and Legendre values come from
 their three-term recurrences; Chebyshev values by index doubling, in
 ceil(log2(n - 1)) array steps. The exact Legendre-in-Chebyshev table of
-legendre_in_chebyshev maps Chebyshev values to Legendre ones, which is
-how the shift matrices of both exponential families are built.
+legendre_in_chebyshev maps Chebyshev values to Legendre ones.
 
 Laguerre values grow like e^{|x|/2} away from the window edge, so its
 usable order is much lower than for the bounded families; the bounds below

@@ -332,7 +332,7 @@ def _check_incremental() -> None:
 
 def _check_shift_identity() -> None:
     # the exponential-basis shift matrix rests on the installed BLAS
-    # matrix product and LAPACK inverse
+    # matrix product and on the LAPACK inverses that build its table
     x = np.random.default_rng(23).uniform(0.0, 1.0, 40)
     for basis in (BasisId.SHIFTED_LEGENDRE, BasisId.CHEBYSHEV):
         for orders in (23, 149):

@@ -249,12 +249,14 @@ def _solve_dim(A, B, T, basis):
     eye, cap = _orthonormality_cap(alphas.shape[-1])
     ok = ~(np.abs(_swap(alphas) @ Balphas - eye) > cap).any(axis=(1, 2))
     normA = np.sqrt(_sqnorms(A))
-    R = A @ alphas - Balphas * w[:, None, :]
+    Aalphas = A @ alphas
+    R = Aalphas - Balphas * w[:, None, :]
     res_cap = 1e-8 * (normA[:, None]
                       + np.abs(w) * np.sqrt(_sqnorms(B))[:, None])
     ok &= ~(np.sqrt((R * R).sum(axis=1)) > res_cap).any(axis=1)
     if not ok.all():
-        idx, A, T, w, alphas, normA = _keep(ok, idx, A, T, w, alphas, normA)
+        idx, T, w, alphas, Aalphas, normA = _keep(ok, idx, T, w, alphas,
+                                                  Aalphas, normA)
         if not len(idx):
             return none
 
@@ -264,7 +266,7 @@ def _solve_dim(A, B, T, basis):
     if w[:, 0].min() < 0.0:
         floor = -1e-12 * np.maximum(normA, 1.0)
         w = np.where((w < 0.0) & (w > floor[:, None]), 0.0, w)
-    return idx, w, alphas, _pick_top(w, alphas, A, T)
+    return idx, w, alphas, _pick_top(w, alphas, Aalphas, T)
 
 
 @lru_cache(maxsize=None)
@@ -309,12 +311,13 @@ def _ideal_whitener(basis: BasisId, m: int) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(continuum_gram(basis, m)))
 
 
-def _pick_top(w: np.ndarray, alphas: np.ndarray, A: np.ndarray,
+def _pick_top(w: np.ndarray, alphas: np.ndarray, Aalphas: np.ndarray,
               T: np.ndarray | None) -> np.ndarray:
     """Index of the top state per pencil; ties go to the youngest state.
 
     ``w`` ascends along each row, so the top state is the last one, and a
     row has a tie only where its last two eigenvalues are tied.
+    ``Aalphas`` is A @ alphas, which the residual gate forms.
     """
     K, m = w.shape
     out = np.full(K, m - 1, dtype=np.intp)
@@ -322,23 +325,19 @@ def _pick_top(w: np.ndarray, alphas: np.ndarray, A: np.ndarray,
         return out
     top = w[:, -1]
     floor = top - TIE_RTOL * np.abs(top)
-    tie = w[:, -2] >= floor
-    if not tie.any():
+    if not (w[:, -2] >= floor).any():
         return out
-    rows = np.flatnonzero(tie)
-    # age reading <psi|T|psi>/<psi|A|psi> of every state of those pencils
-    V = np.ascontiguousarray(_swap(alphas[rows]))[:, :, None, :]
-    Vc = _swap(V)
-    num = (V @ T[rows][:, None] @ Vc)[..., 0, 0]
-    den = (V @ A[rows][:, None] @ Vc)[..., 0, 0]
+    # age reading <psi|T|psi>/<psi|A|psi> of each state (column). A row
+    # without a tie has one tied state, its last, so every row is picked
+    # by the same steps.
+    num = (alphas * (T @ alphas)).sum(axis=1)
+    den = (alphas * Aalphas).sum(axis=1)
     has_volume = den > 0.0
     ages = np.where(has_volume, num / np.where(has_volume, den, 1.0), np.inf)
     # first tied state of least age; the first tied one if all read inf
-    tied = w[rows] >= floor[rows, None]
+    tied = w >= floor[:, None]
     pick = np.where(tied, ages, np.inf).argmin(axis=1)
-    out[rows] = np.where(tied[np.arange(len(rows)), pick], pick,
-                         tied.argmax(axis=1))
-    return out
+    return np.where(tied[np.arange(K), pick], pick, tied.argmax(axis=1))
 
 
 def rayleigh(psi, A, B) -> float:

@@ -20,9 +20,9 @@ Two ways to obtain moments at a timestamp:
   y' = y + delta/tau for the linear one), so Q_m at the new coordinate is an
   exact linear combination of Q_0..Q_m at the old one. The combination
   matrix G comes from the addition theorem in closed form for Laguerre,
-  and for the exponential bases from interpolation at cached Chebyshev
-  nodes (see _kernels); no per-tick history is needed. The age
-  measure additionally couples to volume since
+  and for the exponential bases as a Chebyshev series in exp(-delta/tau)
+  with a cached coefficient table (see _kernels); no per-tick history is
+  needed. The age measure additionally couples to volume since
   (t_new - t) = (t_old_now - t) + delta. A shift longer than the prune
   horizon leaves no unpruned mass, so it clears the state instead.
 
@@ -209,10 +209,12 @@ def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
 
     Only ticks with t <= t_now participate; older ticks than the pruning
     horizon contribute nothing. Raises EmptyWindowError when no tick lies
-    at or before t_now.
+    at or before t_now, and InputError when t_now is not finite.
     """
     _check_orders(basis, orders)
     _check_tau(tau)
+    if not isfinite(t_now):
+        raise InputError(_NOT_FINITE)
     t, p, dV = tick_arrays(ticks)
     if len(t) > 1 and np.any(np.diff(t) < 0):
         raise InputError("tick times must be nondecreasing")

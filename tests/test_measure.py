@@ -9,13 +9,14 @@ from conftest import make_stream, rel_err
 from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
                    MeasureKind, MomentEngine, Tick, advance_incremental,
                    omega, resample_full, run_over, tick_arrays, x_of_t)
-from psima._kernels import (PRUNE_OMEGA, accumulate_block, shift_matrices,
-                            shift_matrix)
+from psima._kernels import (PRUNE_OMEGA, _table, accumulate_block,
+                            shift_matrices, shift_matrix)
 from psima.basis import evaluate_all, max_model_order
 from psima.measure import _CHECK_SLICE, _ROW, PRUNE_HORIZON, _single_shift
 from psima.synth import steady
 
 ALL_BASES = list(BasisId)
+EXP_BASES = [BasisId.SHIFTED_LEGENDRE, BasisId.CHEBYSHEV]
 ALL_MEASURES = list(MeasureKind)
 
 
@@ -101,6 +102,16 @@ def test_resample_rejects_disorder_and_bad_orders():
     good = [Tick(1.0, 100.0, 5.0)]
     with pytest.raises(CapabilityError):
         resample_full(good, 1.0, 50.0, BasisId.LAGUERRE, 50,
+                      MeasureKind.VOLUME_DV)
+
+
+@pytest.mark.parametrize("t_now", [np.nan, np.inf, -np.inf])
+def test_resample_refuses_a_non_finite_t_now(t_now):
+    # nan and +inf once read as empty windows past the horizon (all-zero
+    # moments), -inf as a window before the first tick
+    ticks = [Tick(1.0, 100.0, 5.0), Tick(2.0, 101.0, 7.0)]
+    with pytest.raises(InputError, match="must be finite"):
+        resample_full(ticks, t_now, 50.0, BasisId.CHEBYSHEV, 3,
                       MeasureKind.VOLUME_DV)
 
 
@@ -308,6 +319,25 @@ def test_shift_matrix_is_the_row_recurrence(basis, orders, d):
         for lag in range(orders):
             assert len(set(np.diagonal(G, -lag).tolist())) == 1
         assert np.all(np.diagonal(G) == 1.0)
+
+
+@pytest.mark.parametrize("basis", EXP_BASES)
+@pytest.mark.parametrize("orders", [1, 2, 3, 23, 149])
+def test_exponential_shift_structure_is_exact(basis, orders):
+    # over the gaps the engine shifts by, 0 to the prune horizon, G is
+    # finite, row 0 is exactly e_0 and the upper triangle exactly 0, with
+    # no pin applied per call: the cached table carries that structure
+    d = np.concatenate(([0.0, PRUNE_HORIZON],
+                        np.random.default_rng(5).uniform(0.0, PRUNE_HORIZON,
+                                                         30)))
+    G = shift_matrices(basis, d, orders)
+    assert np.all(np.isfinite(G))
+    assert np.all(G[:, 0] == np.eye(orders)[0])
+    assert not np.triu(G, 1).any()
+    k, C = _table(basis, orders)
+    assert C.shape == (orders, orders * orders)
+    assert not k.flags.writeable and not C.flags.writeable
+    assert _table(basis, orders)[1] is C
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
@@ -555,6 +585,36 @@ def test_a_step_whose_moments_overflow_is_refused(basis):
     assert not block.raw_rows().any()
     assert (block.t_now, block.last_t, block.p_last, block.tick_count) == (
         None, None, None, 0)
+
+
+@pytest.mark.parametrize("basis", EXP_BASES)
+def test_exponential_engine_drift_is_bounded_over_many_horizons(basis):
+    # a tape over five prune horizons long, stepped tick by tick in
+    # advance_steps blocks: the shifted state never leaves the whole-tape
+    # sum by more than 1e-12 of a row's largest moment (under 1e-13 is
+    # seen, on the age row). Laguerre is left out: resample_full prunes
+    # its ticks too early to serve as the reference (see the test below).
+    ticks = steady(2.0, 100.0, 100.0, 12000.0, 3)
+    t, p, dV = tick_arrays(ticks)
+    n, tau = 12, 64.0
+    orders = 2 * n - 1
+    assert t[-1] - t[0] > 5 * PRUNE_HORIZON * tau
+    eng = MomentEngine(basis, n, tau)
+    block = 4096
+    for a in range(0, len(t), block):
+        b = min(a + block, len(t))
+        got = eng.advance_steps(t[a:b], t, p, dV, a,
+                                np.arange(a + 1, b + 1))[-1]
+        ref = np.zeros((5, orders))
+        for measure in ALL_MEASURES:
+            ref[_ROW[measure]] = resample_full(ticks, t[b - 1], tau, basis,
+                                               orders, measure).values
+        # the p^2 row, which resample_full does not return
+        p2 = np.zeros((5, orders))
+        accumulate_block(t, p, dV, 0, b, t[0], t[b - 1], tau, basis, p2)
+        ref[4] = p2[4]
+        scale = np.abs(ref).max(axis=1)
+        assert np.all(np.abs(got - ref).max(axis=1) <= 1e-12 * scale), a
 
 
 def test_laguerre_engine_is_the_unpruned_sum_and_resample_drops_the_prune():
