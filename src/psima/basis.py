@@ -12,10 +12,12 @@ window in its own coordinate:
 All downstream algebra needs two primitives: evaluating Q_0..Q_{n-1} at a
 point and re-expanding a product Q_j*Q_k in the same family
 (linearization). Products are what turn a moment vector of length 2n-1
-into n-by-n operator matrices. Laguerre and Legendre values come from
-their three-term recurrences; Chebyshev values by index doubling, in
-ceil(log2(n - 1)) array steps. The exact Legendre-in-Chebyshev table of
-legendre_in_chebyshev maps Chebyshev values to Legendre ones.
+into n-by-n operator matrices: one vector-matrix product with the table
+flattened to (2n-1, n^2), cached per table and n. Laguerre and Legendre
+values come from their three-term recurrences; Chebyshev values by index
+doubling, in ceil(log2(n - 1)) array steps. The exact
+Legendre-in-Chebyshev table of legendre_in_chebyshev maps Chebyshev
+values to Legendre ones.
 
 Laguerre values grow like e^{|x|/2} away from the window edge, so its
 usable order is much lower than for the bounded families; the bounds below
@@ -26,7 +28,7 @@ silently.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -257,6 +259,23 @@ class LinearizationTable:
     basis: BasisId
     n_max: int
     coeffs: np.ndarray  # shape (n_max+1, n_max+1, 2*n_max+1)
+    _flats: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def flat(self, n: int) -> np.ndarray:
+        """F (2n-1, n*n), read-only and cached: F[m, j*n + k] = c_m^{jk}.
+
+        A moment vector v of length 2n-1 assembles as v @ F, the n-by-n
+        operator flattened row by row.
+        """
+        F = self._flats.get(n)
+        if F is None:
+            need = 2 * n - 1
+            F = np.ascontiguousarray(
+                self.coeffs[:n, :n, :need].reshape(n * n, need).T)
+            F.flags.writeable = False
+            self._flats[n] = F
+        return F
 
 
 @lru_cache(maxsize=None)
@@ -289,8 +308,13 @@ def matrix_from_moments(moments, n: int, table: LinearizationTable) -> np.ndarra
 
     ``moments`` is a MomentVector or a plain array of length >= 2n-1, or a
     stack of such arrays (..., >= 2n-1), which gives a stack of matrices
-    (..., n, n) in one contraction. The result is symmetric by
-    construction since c^{jk} = c^{kj} entrywise.
+    (..., n, n). Each moment vector is one row-times-matrix product with
+    the table's flattened coefficients (LinearizationTable.flat), its own
+    BLAS call, so a matrix does not depend on the stack it came in. The
+    result is exactly symmetric, since c^{jk} = c^{kj} entrywise and the
+    product forms M[j,k] and M[k,j] from the same column. The product
+    raises under np.errstate(over="raise") where moments overflow the
+    assembly, as np.einsum, which this replaced, did not: it gave inf.
     """
     values = np.asarray(getattr(moments, "values", moments), dtype=np.float64)
     if n < 1:
@@ -302,8 +326,8 @@ def matrix_from_moments(moments, n: int, table: LinearizationTable) -> np.ndarra
     need = 2 * n - 1
     if values.shape[-1] < need:
         raise InputError(f"moment vector too short: {values.shape[-1]} < {need}")
-    return np.einsum("jkm,...m->...jk", table.coeffs[:n, :n, :need],
-                     values[..., :need])
+    out = values[..., None, :need] @ table.flat(n)
+    return out.reshape(values.shape[:-1] + (n, n))
 
 
 @lru_cache(maxsize=None)

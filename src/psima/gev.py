@@ -16,10 +16,14 @@ truncation beats ridging here.
 solve_stack runs every gate over a stack of pencils at once, and only the
 pencils that fail at a dimension try the next one down; solve_pencil is
 solve_stack on a stack of one. The dimension search and the reduction
-are the same code for a live stack of one and a block of many. After the
-eigensolve nothing is searched: eigh returns the eigenvalues ascending,
-so the bottom state is the first and the top state the last, unless the
-last two are tied.
+are the same code for a live stack of one and a block of many. Each
+pencil comes as a stack of operators: its Gram, its flow operator, the
+tie-breaker and any operators the caller reads. One product of that
+stack with the states serves the gates, the tie-break and the caller's
+readings, which solve_stack returns as the top state's quadratic forms.
+After the eigensolve nothing is searched: eigh returns the eigenvalues
+ascending, so the bottom state is the first and the top state the last,
+unless the last two are tied.
 
 The first two gates, pivot and resolution, each pass on a prefix 1..r of
 the dimensions. The pivot gate is a running minimum and maximum of the
@@ -81,14 +85,19 @@ class PencilStack(NamedTuple):
     """Solutions of a stack of pencils, one row per pencil.
 
     Row k is valid on its leading effective_n[k] entries: lambdas[k, :m]
-    ascending, alphas[k, :m, :m] with the states as columns. effective_n
-    is 0 where no dimension solves. The lambdas ascend, so i_IL is 0.
+    ascending, alphas[k, :m, :m] with the states as columns. forms[k, i]
+    is the top state's quadratic form psi^T O_i psi with the i-th
+    operator of the solved stack, Gram and flow operator first, so
+    forms[k, 0] is 1 up to the normalization gate. effective_n is 0,
+    and every other field 0, where no dimension solves. The lambdas
+    ascend, so i_IL is 0.
     """
     effective_n: np.ndarray   # (K,) int
     lambdas: np.ndarray       # (K, n)
     alphas: np.ndarray        # (K, n, n)
     i_IH: np.ndarray          # (K,) int
     i_IL: np.ndarray          # (K,) int
+    forms: np.ndarray         # (K, k)
 
 
 def _quad(alpha: np.ndarray, M: np.ndarray) -> float:
@@ -118,12 +127,14 @@ def solve_pencil(A, B, tie_breaker=None) -> SpectralDecomposition:
     basis = getattr(A, "basis", None)
     if basis is not None and basis is not getattr(B, "basis", basis):
         raise InputError("pencil operators must share a basis")
-    T = None if tie_breaker is None else _entries(tie_breaker)[None]
-    if T is not None and T.shape[1:] != Af.shape:
-        raise InputError("tie-breaker must match the pencil's size")
-    if not all(np.isfinite(X).all() for X in (Af, Bf, T) if X is not None):
+    ops = [Bf, Af]
+    if tie_breaker is not None:
+        ops.append(_entries(tie_breaker))
+        if ops[-1].shape != Af.shape:
+            raise InputError("tie-breaker must match the pencil's size")
+    if not all(np.isfinite(X).all() for X in ops):
         raise InputError("pencil operators must be finite")
-    sol = solve_stack(Af[None], Bf[None], T, basis)
+    sol = solve_stack(np.stack(ops)[None], basis)
     m = int(sol.effective_n[0])
     if m == 0:
         if not (float(Bf[0, 0]) > 0.0):
@@ -138,11 +149,14 @@ def solve_pencil(A, B, tie_breaker=None) -> SpectralDecomposition:
                                  i_IL=int(sol.i_IL[0]), effective_n=m)
 
 
-def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
-                basis: BasisId | None = None,
+def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
                 start: int | None = None) -> PencilStack:
-    """solve_pencil over a stack of (n, n) pencils, (K, n, n) each.
+    """solve_pencil over a stack of operator stacks, (K, k, n, n).
 
+    ops[:, 0] holds the Grams B and ops[:, 1] the flow operators A of the
+    pencils; ops[:, 2], where k > 2, the tie-breakers; any further
+    operators are only read: the solution carries each top state's
+    quadratic form with every operator of its stack (PencilStack.forms).
     Every pencil first tries the largest dimension its Gram passes the
     pivot and resolution gates at, and each that fails a gate there tries
     one lower, each dimension solving its remaining pencils together. The
@@ -150,48 +164,59 @@ def solve_stack(A: np.ndarray, B: np.ndarray, T: np.ndarray | None = None,
     resolution gate (see the module docstring): a pencil tries no
     dimension its pivot gate misses, and one above ``start`` (default n)
     only once it has passed the resolution gate at every dimension from
-    ``start`` + 1 up. ``T`` stacks the tie-breakers and ``basis`` sets the
-    resolution gate, as the OperatorMatrix wrappers do for solve_pencil.
+    ``start`` + 1 up. ``basis`` sets the resolution gate, as the
+    OperatorMatrix wrappers do for solve_pencil. While every pencil of
+    the stack is still unsolved, a dimension reads the leading blocks of
+    the whole stack as views; a live stack of one always does.
     """
-    K, n = B.shape[0], B.shape[-1]
+    K, k, n = ops.shape[0], ops.shape[1], ops.shape[-1]
+    B = ops[:, 0]
     effective_n = np.zeros(K, dtype=np.intp)
     lambdas = np.zeros((K, n))
     alphas = np.zeros((K, n, n))
     i_IH = np.zeros(K, dtype=np.intp)
-    i_IL = np.zeros(K, dtype=np.intp)
+    forms = np.zeros((K, k))
     # pivot gate of every leading dimension at once: column m-1 holds the
     # verdict on the m-by-m Gram's diagonal
     d = _diag(B)
-    dmin = np.minimum.accumulate(d, axis=1)
-    top = (~((dmin <= 0.0)
-             | (dmin < PIVOT_RTOL * np.maximum.accumulate(d, axis=1)))
+    lo = np.minimum.accumulate(d, axis=1)
+    top = ((lo > 0.0) & (lo >= PIVOT_RTOL * np.maximum.accumulate(d, axis=1))
            ).sum(axis=1)
-    # reach: the largest dimension each unsolved pencil may still try.
-    # Above the start it is walked up while the resolution gate passes.
+    # reach: the largest dimension each unsolved pencil may still try, 0
+    # once solved. Above the start it is walked up while the resolution
+    # gate passes.
     h = min(max(n if start is None else int(start), 1), n)
     reach = np.minimum(top, h)
-    up = np.flatnonzero(top > h)
+    up = np.flatnonzero(top > h) if h < n else ()
     m = h
     while len(up):
         m += 1
         up = up[_resolved(B[up, :m, :m], basis, m)[0]]
         reach[up] = m
         up = up[top[up] > m]
-    m = int(reach.max(initial=0))
+    m, least = int(reach.max(initial=0)), int(reach.min(initial=n))
     while m:
-        cand = np.flatnonzero(reach >= m)
-        passed, w, al, ih = _solve_dim(
-            A[cand, :m, :m], B[cand, :m, :m],
-            None if T is None else T[cand, :m, :m], basis)
-        if len(passed):
-            done = cand[passed]
-            effective_n[done] = m
-            lambdas[done, :m] = w
-            alphas[done, :m, :m] = al
-            i_IH[done] = ih
-            reach[done] = 0
+        if m <= least:
+            # every pencil is unsolved and reaches m
+            cand, sub = slice(None), ops[:, :, :m, :m]
+        else:
+            cand = np.flatnonzero(reach >= m)
+            sub = ops[cand, :, :m, :m]
+        passed, w, al, ih, f = _solve_dim(sub, basis)
+        if w is None:
+            m -= 1
+            continue
+        done = cand if passed is None else np.arange(K)[cand][passed]
+        effective_n[done] = m
+        lambdas[done, :m] = w
+        alphas[done, :m, :m] = al
+        i_IH[done] = ih
+        forms[done] = f
+        reach[done] = 0
+        least = 0
         m = min(m - 1, int(reach.max()))
-    return PencilStack(effective_n, lambdas, alphas, i_IH, i_IL)
+    return PencilStack(effective_n, lambdas, alphas, i_IH,
+                       np.zeros(K, dtype=np.intp), forms)
 
 
 def _swap(X: np.ndarray) -> np.ndarray:
@@ -203,62 +228,67 @@ def _diag(X: np.ndarray) -> np.ndarray:
 
 
 def _sqnorms(X: np.ndarray) -> np.ndarray:
-    # squared Frobenius norm of each matrix as one dot product, as
-    # np.linalg.norm forms it for a single matrix
-    v = X.reshape(len(X), 1, -1)
-    return (v @ _swap(v))[:, 0, 0]
+    # squared Frobenius norm of each matrix of X (..., m, m) as one dot
+    # product, as np.linalg.norm forms it for a single matrix
+    v = X.reshape(X.shape[:-2] + (1, -1))
+    return (v @ _swap(v))[..., 0, 0]
 
 
-def _keep(mask: np.ndarray, *stacks):
-    """The pencils of each stack (or None) that ``mask`` keeps."""
-    return tuple(None if a is None else a[mask] for a in stacks)
-
-
-def _solve_dim(A, B, T, basis):
-    """Every gate after the pivot gate, for a stack of (m, m) pencils.
+def _solve_dim(ops, basis):
+    """Every gate after the pivot gate, for a stack of (k, m, m) operators.
 
     The resolution gate's eigensolve M = V Lambda V^T, M = W0 B W0^T,
     also whitens: W = Lambda^-1/2 V^T W0 has W B W^T = I, and reduces
     each pencil to the symmetric S = W A W^T, whose eigenvectors map back
-    as W^T U (Golub & Van Loan, Matrix Computations, 8.7.2). The gate's
-    cap on the conditioning of M bounds how far the states drift from
-    B-orthonormality; the normalization and orthogonality gates check
-    that drift, as one comparison of |alpha^T B alpha - I| against a
-    cached cap matrix, and the residual gate the eigenpairs. Returns the
-    stack positions of the pencils that pass every gate and, for those in
-    order, the clamped eigenvalues (ascending, as eigh returns them),
-    B-orthonormal states (columns) and the indices of the top states; the
-    bottom state is always 0.
+    as W^T U (Golub & Van Loan, Matrix Computations, 8.7.2). One product
+    of every operator with the states, O alpha, serves the rest: with B
+    alpha the normalization and orthogonality gates compare |alpha^T B
+    alpha - I| with a cached cap matrix, with A alpha too the residual
+    gate checks the eigenpairs, and the diagonal forms alpha_i^T O
+    alpha_i of every state give the tie-break its age readings and the
+    caller the top state's forms. The gate's cap on the conditioning of
+    M bounds how far the states drift from B-orthonormality.
+
+    Returns the mask of the pencils that pass every gate (None where all
+    do) and, for those in order, the clamped eigenvalues (ascending, as
+    eigh returns them), B-orthonormal states (columns), the indices of
+    the top states and their forms (k,); the bottom state is always 0.
+    Where none passes, the four are None.
     """
-    none = (np.zeros(0, dtype=np.intp),) + (None,) * 3
-    idx = np.arange(len(B))
-    ok, lam, X = _resolved(B, basis, B.shape[-1])
+    m = ops.shape[-1]
+    kept = None
+    ok, lam, X = _resolved(ops[:, 0], basis, m)
     if not ok.all():
-        idx, A, B, T, lam, X = _keep(ok, idx, A, B, T, lam, X)
-        if not len(idx):
-            return none
+        if not ok.any():
+            return ok, None, None, None, None
+        kept, ops, lam, X = ok, ops[ok], lam[ok], X[ok]
     W = X / np.sqrt(lam)[:, :, None]
-    S = W @ A @ _swap(W)
-    S = 0.5 * (S + _swap(S))
-    w, U = np.linalg.eigh(S)
+    S = W @ ops[:, 1] @ _swap(W)
+    w, U = np.linalg.eigh(0.5 * (S + _swap(S)))
     alphas = _swap(W) @ U
 
     # verify the quality bounds consumers rely on; a dimension that
     # misses them is not solvable at working precision and gets dropped
-    Balphas = B @ alphas
-    eye, cap = _orthonormality_cap(alphas.shape[-1])
-    ok = ~(np.abs(_swap(alphas) @ Balphas - eye) > cap).any(axis=(1, 2))
-    normA = np.sqrt(_sqnorms(A))
-    Aalphas = A @ alphas
+    P = ops @ alphas[:, None]
+    Balphas, Aalphas = P[:, 0], P[:, 1]
+    eye, cap = _orthonormality_cap(m)
+    ok = (np.abs(_swap(alphas) @ Balphas - eye) <= cap).all(axis=(1, 2))
+    normB, normA = np.sqrt(_sqnorms(ops[:, :2])).T
     R = Aalphas - Balphas * w[:, None, :]
-    res_cap = 1e-8 * (normA[:, None]
-                      + np.abs(w) * np.sqrt(_sqnorms(B))[:, None])
-    ok &= ~(np.sqrt((R * R).sum(axis=1)) > res_cap).any(axis=1)
+    res_cap = 1e-8 * (normA[:, None] + np.abs(w) * normB[:, None])
+    ok &= (np.sqrt((R * R).sum(axis=1)) <= res_cap).all(axis=1)
+    # every state's form with every operator, (K, k, m); P is not read
+    # again, so the products go in its place
+    P *= alphas[:, None]
+    D = P.sum(axis=-2)
     if not ok.all():
-        idx, T, w, alphas, Aalphas, normA = _keep(ok, idx, T, w, alphas,
-                                                  Aalphas, normA)
-        if not len(idx):
-            return none
+        if kept is None:
+            kept = ok
+        else:
+            kept[kept] = ok
+        if not ok.any():
+            return kept, None, None, None, None
+        w, D, alphas, normA = w[ok], D[ok], alphas[ok], normA[ok]
 
     # flow is a nonnegative form; tiny negative lambdas are roundoff.
     # eigh's lambdas ascend, so only a row whose first is negative needs
@@ -266,7 +296,8 @@ def _solve_dim(A, B, T, basis):
     if w[:, 0].min() < 0.0:
         floor = -1e-12 * np.maximum(normA, 1.0)
         w = np.where((w < 0.0) & (w > floor[:, None]), 0.0, w)
-    return idx, w, alphas, _pick_top(w, alphas, Aalphas, T)
+    ih = _pick_top(w, D)
+    return kept, w, alphas, ih, D[np.arange(len(ih)), :, ih]
 
 
 @lru_cache(maxsize=None)
@@ -286,19 +317,18 @@ def _resolved(B: np.ndarray, basis: BasisId | None, m: int):
 
     Whitens each Gram by W0, the ideal window's inverse Cholesky factor,
     or, for a bare pencil (``basis`` None), its own inverse square-root
-    diagonal, and takes the eigensolve M = W0 B W0^T = V Lambda V^T.
-    Returns one flag per Gram, the eigenvalues Lambda (ascending) and
-    V^T W0: Lambda^-1/2 V^T W0 whitens B. Against the ideal window the
-    gate caps the conditioning of M at KAPPA_CAP, a comparison of
-    quadratic forms that every basis makes alike, so all bases reduce
-    their dimension at the same samples; a bare pencil's M only has to
-    stay PIVOT_RTOL away from singular.
+    diagonal, and takes the eigensolve M = W0 B W0^T = V Lambda V^T,
+    which reads M's lower triangle. Returns one flag per Gram, the
+    eigenvalues Lambda (ascending) and V^T W0: Lambda^-1/2 V^T W0
+    whitens B. Against the ideal window the gate caps the conditioning
+    of M at KAPPA_CAP, a comparison of quadratic forms that every basis
+    makes alike, so all bases reduce their dimension at the same
+    samples; a bare pencil's M only has to stay PIVOT_RTOL away from
+    singular.
     """
     W0 = (np.eye(m) / np.sqrt(_diag(B))[:, None, :] if basis is None
           else _ideal_whitener(basis, m))
-    M = W0 @ B @ _swap(W0)
-    M = 0.5 * (M + _swap(M))
-    lam, V = np.linalg.eigh(M)
+    lam, V = np.linalg.eigh(W0 @ B @ _swap(W0))
     lo, hi = lam[:, 0], lam[:, -1]
     ok = (lo > 0.0) & (lo >= PIVOT_RTOL * hi if basis is None
                        else hi <= KAPPA_CAP * lo)
@@ -311,33 +341,32 @@ def _ideal_whitener(basis: BasisId, m: int) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(continuum_gram(basis, m)))
 
 
-def _pick_top(w: np.ndarray, alphas: np.ndarray, Aalphas: np.ndarray,
-              T: np.ndarray | None) -> np.ndarray:
+def _pick_top(w: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Index of the top state per pencil; ties go to the youngest state.
 
-    ``w`` ascends along each row, so the top state is the last one, and a
-    row has a tie only where its last two eigenvalues are tied.
-    ``Aalphas`` is A @ alphas, which the residual gate forms.
+    ``w`` ascends along each row, so the tied states of a row are its
+    last ones, and the row has a tie only where its last two eigenvalues
+    are tied. ``D`` holds every state's forms (K, k, m): with the flow
+    operator in D[:, 1] and the tie-breaker in D[:, 2], a state's age
+    reading is the ratio of the two.
     """
     K, m = w.shape
-    out = np.full(K, m - 1, dtype=np.intp)
-    if m == 1 or T is None:
-        return out
-    top = w[:, -1]
-    floor = top - TIE_RTOL * np.abs(top)
-    if not (w[:, -2] >= floor).any():
-        return out
-    # age reading <psi|T|psi>/<psi|A|psi> of each state (column). A row
-    # without a tie has one tied state, its last, so every row is picked
-    # by the same steps.
-    num = (alphas * (T @ alphas)).sum(axis=1)
-    den = (alphas * Aalphas).sum(axis=1)
+    if m == 1 or D.shape[1] < 3:
+        return np.full(K, m - 1, dtype=np.intp)
+    top = w[:, -1:]
+    tied = w >= top - TIE_RTOL * np.abs(top)
+    if not tied[:, -2].any():
+        return np.full(K, m - 1, dtype=np.intp)
+    # age reading <psi|T|psi>/<psi|A|psi> of each state (column), inf for
+    # a state that reads no volume. A row without a tie has one tied
+    # state, its last, so every row is picked by the same steps.
+    num, den = D[:, 2], D[:, 1]
     has_volume = den > 0.0
     ages = np.where(has_volume, num / np.where(has_volume, den, 1.0), np.inf)
-    # first tied state of least age; the first tied one if all read inf
-    tied = w >= floor[:, None]
+    # first tied state of least age; the first tied one if all read inf,
+    # where argmin gives the first state of the row
     pick = np.where(tied, ages, np.inf).argmin(axis=1)
-    return np.where(tied[np.arange(K), pick], pick, tied.argmax(axis=1))
+    return np.maximum(pick, m - tied.sum(axis=1))
 
 
 def rayleigh(psi, A, B) -> float:

@@ -9,12 +9,14 @@ quadratic-form ratio) and is emitted separately because downstream
 consumers treat it as the adaptive moving average output.
 
 The engine carries moments; this module turns a stack of engine snapshots
-into IndicatorSamples with one operator contraction and one stacked pencil
-solve. run_blocks runs it on a whole tape in fixed blocks and yields each
-block's samples as the block is solved, so a caller that writes them out
-needs memory for one block, not for the series; run_over is that iterator
-collected into one list. evaluate_at reads its one snapshot with the same
-arithmetic on Python scalars.
+into IndicatorSamples with one operator assembly and one stacked pencil
+solve, which also returns the top state's forms with the price, age and
+volume operators: P_IH and T_IH are ratios of those. run_blocks runs it
+on a whole tape in fixed blocks and yields each block's samples as the
+block is solved, so a caller that writes them out needs memory for one
+block, not for the series; run_over is that iterator collected into one
+list. evaluate_at reads its one snapshot through the same assembly and
+solve, and forms its classical fields and ratios on Python scalars.
 """
 
 from __future__ import annotations
@@ -141,14 +143,21 @@ class _Readings(NamedTuple):
     p_std: np.ndarray
 
 
+# Engine rows in the order solve_stack reads operators: the Gram (time),
+# the flow operator (volume), the tie-breaker (age), then price.
+_SOLVE_ROWS = np.array([0, 1, 3, 2])
+_FLOW, _AGE, _PRICE = 1, 2, 3
+
+
 def _readings(rows: np.ndarray, engine: MomentEngine) -> _Readings:
     """Indicator fields for a stack of the engine's snapshots, (K, 5, 2n-1).
 
-    All four operators of every sample come from one contraction and all
+    All four operators of every sample come from one assembly and all
     pencils from one stacked solve, whose dimension search starts at
     engine.resolved_n; the last solved pencil's dimension is written back
-    there. A sample without window volume, or whose top state reads no
-    volume, gets a nonzero status instead.
+    there. The solve reads its top state's forms with every operator, so
+    P_IH and T_IH are ratios of those. A sample without window volume, or
+    whose top state reads no volume, gets a nonzero status instead.
     """
     basis, n = engine.basis, engine.n
     vol0 = rows[:, 1, 0]
@@ -170,28 +179,23 @@ def _readings(rows: np.ndarray, engine: MomentEngine) -> _Readings:
     effective_n = np.zeros(len(rows), dtype=np.intp)
     live = np.flatnonzero(~novol)
     if len(live):
-        table = linearization_table(basis, n - 1)
-        # time, volume, price and age operators: B, A, Mp, Ma
-        ops = matrix_from_moments(rows[live, :4], n, table)
-        sol = solve_stack(ops[:, 1], ops[:, 0], ops[:, 3], basis,
-                          engine.resolved_n)
+        ops = matrix_from_moments(rows[live].take(_SOLVE_ROWS, axis=1), n,
+                                  linearization_table(basis, n - 1))
+        sol = solve_stack(ops, basis, engine.resolved_n)
         engine.resolved_n = int(sol.effective_n[-1]) or engine.resolved_n
-        for m in set(sol.effective_n.tolist()) - {0}:
-            sel = np.flatnonzero(sol.effective_n == m)
-            top, low = sol.i_IH[sel], sol.i_IL[sel]
-            psi = sol.alphas[sel, :m, top]
-            row, col = psi[:, None, :], psi[:, :, None]
-            M = ops[sel][:, :, :m, :m]
-            den = (row @ M[:, 1] @ col)[:, 0, 0]
-            bad = den == 0.0
-            den[bad] = 1.0
-            at = live[sel]
-            P_IH[at] = (row @ M[:, 2] @ col)[:, 0, 0] / den
-            T_IH[at] = (row @ M[:, 3] @ col)[:, 0, 0] / den
-            status[at[bad]] = _DEGENERATE
-            lambda_IH[at] = sol.lambdas[sel, top]
-            lambda_IL[at] = sol.lambdas[sel, low]
-            effective_n[at] = m
+        effective_n[live] = sol.effective_n
+        # an unsolved pencil's lambdas read 0
+        lambda_IH[live] = sol.lambdas[np.arange(len(live)), sol.i_IH]
+        lambda_IL[live] = sol.lambdas[:, 0]
+        solved = sol.effective_n > 0
+        at = live[solved]
+        f = sol.forms[solved]
+        den = f[:, _FLOW]
+        bad = den == 0.0
+        den[bad] = 1.0
+        P_IH[at] = f[:, _PRICE] / den
+        T_IH[at] = f[:, _AGE] / den
+        status[at[bad]] = _DEGENERATE
     return _Readings(status, P_tau, P_IH, lambda_IH, lambda_IL, T_IH, T_tau,
                      effective_n, p_std)
 
@@ -211,8 +215,10 @@ def evaluate_at(t_now: float, engine: MomentEngine) -> IndicatorSample:
     """One IndicatorSample from an engine positioned at t_now.
 
     The fields _readings gives for a stack of one snapshot, bit for bit,
-    read without its per-stack bookkeeping, and refused as run_over
-    refuses it where the moments overflow the readings' arithmetic.
+    with the classical fields and the ratios formed on Python scalars
+    rather than through its per-stack bookkeeping, and refused as
+    run_over refuses it where the moments overflow the readings'
+    arithmetic.
     """
     if engine.t_now is None or engine.t_now != t_now:
         raise InputError(f"engine is at t_now={engine.t_now}, asked {t_now}")
@@ -236,24 +242,20 @@ def _reading(t_now: float, engine: MomentEngine) -> IndicatorSample:
     var = float(rows[4, 0]) / vol0 - P_tau * P_tau
     p_std = sqrt(var if var > 0.0 else 0.0)
     basis, n = engine.basis, engine.n
-    ops = matrix_from_moments(rows[None, :4], n,
+    ops = matrix_from_moments(rows.take(_SOLVE_ROWS, axis=0)[None], n,
                               linearization_table(basis, n - 1))
-    sol = solve_stack(ops[:, 1], ops[:, 0], ops[:, 3], basis,
-                      engine.resolved_n)
+    sol = solve_stack(ops, basis, engine.resolved_n)
     m = int(sol.effective_n[0])
     engine.resolved_n = m or engine.resolved_n
     P_IH, T_IH, lambda_IH, lambda_IL = P_tau, T_tau, 0.0, 0.0
     if m:
-        top, low = int(sol.i_IH[0]), int(sol.i_IL[0])
-        psi = sol.alphas[0, :m, top].copy()
-        M = ops[0, :, :m, :m]
-        den = float(psi @ M[1] @ psi)
-        if den == 0.0:
+        _, f_flow, f_age, f_price = sol.forms[0].tolist()
+        if f_flow == 0.0:
             raise DegenerateStateError("f_psi denominator vanished")
-        P_IH = float(psi @ M[2] @ psi) / den
-        T_IH = float(psi @ M[3] @ psi) / den
-        lambda_IH = float(sol.lambdas[0, top])
-        lambda_IL = float(sol.lambdas[0, low])
+        P_IH = f_price / f_flow
+        T_IH = f_age / f_flow
+        lambda_IH = float(sol.lambdas[0, sol.i_IH[0]])
+        lambda_IL = float(sol.lambdas[0, 0])
     # Python floats overflow to inf without a floating-point error
     if not all(map(isfinite, (P_tau, T_tau, var, P_IH, T_IH))):
         raise FloatingPointError("overflow in the readings")

@@ -130,6 +130,10 @@ _NOT_FINITE = "tick times, prices and shares must be finite"
 _OVERFLOW = "price * price * shares of a tick must be finite"
 
 
+def _overflow_at(ts: float) -> str:
+    return f"values at sample time {ts!r} overflow the moment arithmetic"
+
+
 def _check_finite(*columns: np.ndarray) -> None:
     if not all(np.isfinite(c).all() for c in columns):
         raise InputError(_NOT_FINITE)
@@ -354,8 +358,9 @@ class MomentEngine:
         before index ends[k] that no earlier step absorbed, starting from
         tick i0. The whole block is checked first, and the shift matrices
         of all its steps come from one vectorized build; then _step
-        advances the state step by step. A refused block leaves the
-        engine as it was.
+        advances the state step by step. The rows are checked for
+        overflow once, after the last step, and a refused block leaves the
+        engine as it was, naming the first step whose rows overflow.
         """
         times = np.asarray(times, dtype=np.float64)
         ends = np.asarray(ends, dtype=np.intp)
@@ -385,19 +390,19 @@ class MomentEngine:
         saved = dict(vars(self))
         steps = zip(times.tolist(), gaps.tolist(), decay.tolist(),
                     far.tolist(), starts.tolist(), ends.tolist())
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k, (ts, gap, fade, gone, a, b) in enumerate(steps):
-                    self._step(ts, gap, fade, None if gone else next(near),
-                               t, p, dV, a, b)
-                    out[k] = self.state
-        except InputError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (ts, gap, fade, gone, a, b) in enumerate(steps):
+                self._step(ts, gap, fade, None if gone else next(near),
+                           t, p, dV, a, b, check=False)
+                out[k] = self.state
+        finite = np.isfinite(out).all(axis=(1, 2))
+        if not finite.all():
             vars(self).update(saved)
-            raise
+            raise InputError(_overflow_at(float(times[finite.argmin()])))
         return out
 
     def _step(self, ts: float, gap: float, fade: float, G, t, p, dV,
-              a: int, b: int) -> None:
+              a: int, b: int, check: bool = True) -> None:
         """The step body of advance_to and advance_steps, after their checks.
 
         Shifts the state by ``gap`` to time ts with the window decay
@@ -405,9 +410,9 @@ class MomentEngine:
         past the prune horizon), then absorbs ticks a..b-1. A tick that
         arrives at ts has age 0 and Q_m = 1 in every family (L_m(0) =
         P_m(1) = T_m(1) = 1), so it adds one constant per row, the terms
-        accumulate_block forms at age 0. The step works on a copy and
-        refuses rows that overflow, so a refused step changes nothing; the
-        callers turn overflow warnings off.
+        accumulate_block forms at age 0. The step works on a copy and,
+        with ``check``, refuses rows that overflow, so a refused step
+        changes nothing; the callers turn overflow warnings off.
         """
         if G is None:
             st = np.zeros_like(self.state)
@@ -425,9 +430,8 @@ class MomentEngine:
                                       t[a] if self.last_t is None
                                       else self.last_t, ts,
                                       self.tau, self.basis, st)
-        if not np.isfinite(st).all():
-            raise InputError(f"values at sample time {ts!r} overflow the "
-                             f"moment arithmetic")
+        if check and not np.isfinite(st).all():
+            raise InputError(_overflow_at(ts))
         self.state = st
         self.t_now = ts
         if b > a:

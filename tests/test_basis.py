@@ -253,3 +253,24 @@ def test_matrix_from_moments_validation():
         matrix_from_moments(np.ones(13), 7, tbl)  # table too small
     M = matrix_from_moments(np.ones(9), 5, tbl)
     assert M.shape == (5, 5)
+
+
+@pytest.mark.parametrize("basis", ALL_BASES)
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_assembly_does_not_depend_on_the_stack(basis, n):
+    # a stack of 256 moment rows, longer than 2n - 1 and spanning many
+    # magnitudes, assembles to the matrices each row gives alone, bit for
+    # bit, and every matrix is exactly symmetric
+    rng = np.random.default_rng(n)
+    rows = (rng.standard_normal((256, 2 * n + 2))
+            * 10.0 ** rng.integers(-8, 9, (256, 1)))
+    table = linearization_table(basis, n - 1)
+    stack = matrix_from_moments(rows, n, table)
+    assert stack.shape == (256, n, n)
+    for k, row in enumerate(rows):
+        assert matrix_from_moments(row, n, table).tobytes() == \
+            stack[k].tobytes(), k
+    assert np.array_equal(stack, stack.swapaxes(1, 2))
+    # the flattened table is cached and read-only
+    assert table.flat(n) is table.flat(n)
+    assert not table.flat(n).flags.writeable

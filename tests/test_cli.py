@@ -215,10 +215,43 @@ def test_selftest_passes_and_reports():
     r = run_cli("selftest")
     assert r.returncode == 0, r.stdout + r.stderr
     lines = r.stdout.splitlines()
-    assert sum(ln.startswith("ok ") for ln in lines) == 8
+    assert sum(ln.startswith("ok ") for ln in lines) == 9
     assert "ok shift-matrix-identity" in lines
     assert "ok chebyshev-doubling-vs-cosine" in lines
-    assert lines[-1] == "all 8 checks passed"
+    assert "ok quiet-spell-congruence" in lines
+    assert lines[-1] == "all 9 checks passed"
+
+
+# a solver whose eigenvalues are off by 1e-6 relative, in a process that
+# strips assert statements (python -O)
+_SHIFTED_SOLVER = """
+import dataclasses
+import sys
+
+from psima import cli
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+solve = cli.solve_pencil
+
+
+def shifted(*args, **kwargs):
+    dec = solve(*args, **kwargs)
+    return dataclasses.replace(dec, lambdas=dec.lambdas * (1.0 + 1e-6))
+
+
+cli.solve_pencil = shifted
+sys.exit(cli.main(["selftest"]))
+"""
+
+
+def test_selftest_fails_under_python_O():
+    r = subprocess.run([sys.executable, "-O", "-c", _SHIFTED_SOLVER],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 1, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[2].startswith("FAIL pencil-vs-determinant-bisection")
+    assert lines[-1] == "1 of 9 checks failed"
 
 
 def test_log_env_smoke(tape):

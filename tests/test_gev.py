@@ -20,6 +20,11 @@ def _random_pencil(rng, n, b_floor=0.1):
     return A, B
 
 
+def _solve(A, B, T, *args):
+    # solve_stack on the pencils (A, B) with tie-breakers T
+    return solve_stack(np.stack([B, A, T], axis=1), *args)
+
+
 def _stream_pencil(ticks, basis, n, tau=64.0, bare=True):
     t_now = ticks[-1].t
     orders = 2 * n - 1
@@ -242,7 +247,7 @@ def test_dimension_search_start_changes_nothing(benchmark_tapes, tape, basis):
     # every start gives the same solutions bit for bit; every 8th pencil
     # keeps the thirteen solves quick
     A, B, T = A[::8], B[::8], T[::8]
-    ref = solve_stack(A, B, T, basis)
+    ref = _solve(A, B, T, basis)
     assert len(set(ref.effective_n.tolist())) > 2
     # a stack of one walks the dimensions on its own path; every 10th of
     # those pencils, and each whose dimension differs from the one before
@@ -252,11 +257,11 @@ def test_dimension_search_start_changes_nothing(benchmark_tapes, tape, basis):
                  | set(np.flatnonzero(dims[1:] != dims[:-1]) + 1))
     assert len(set(dims[one].tolist())) > 2
     for start in range(1, n + 1):
-        got = solve_stack(A, B, T, basis, start)
+        got = _solve(A, B, T, basis, start)
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
         for k in one:
-            got = solve_stack(A[k:k + 1], B[k:k + 1], T[k:k + 1], basis,
+            got = _solve(A[k:k + 1], B[k:k + 1], T[k:k + 1], basis,
                               start)
             for a, b in zip(got, ref):
                 assert a.tobytes() == b[k:k + 1].tobytes(), (start, k)
@@ -314,12 +319,12 @@ def test_dimension_search_probes_only_where_a_pencil_can_pass(
         return resolved(Bm, basis, m)
 
     monkeypatch.setattr(gev, "_resolved", counted)
-    ref = solve_stack(A, B, T, basis)
+    ref = _solve(A, B, T, basis)
     e = ref.effective_n
     assert len(set(e.tolist())) > 6
     for start in range(1, n + 1):
         probes.clear()
-        got = solve_stack(A, B, T, basis, start)
+        got = _solve(A, B, T, basis, start)
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
         # the walk above the start probes m on the pencils whose pivot
@@ -342,7 +347,7 @@ def test_dimension_search_probes_only_where_a_pencil_can_pass(
                 want.append((m, cand.tolist()))
         assert probes == want, start
         for k in range(len(B)):
-            alone = solve_stack(A[k:k + 1], B[k:k + 1], T[k:k + 1], basis,
+            alone = _solve(A[k:k + 1], B[k:k + 1], T[k:k + 1], basis,
                                 start)
             assert alone.effective_n.tolist() == [e[k]]
 
@@ -358,7 +363,7 @@ def test_later_gates_drop_no_dimension_on_the_benchmark_tapes(
     ops = _tape_ops(benchmark_tapes[tape], basis)[::8]
     A, B, T = ops[:, 1], ops[:, 0], ops[:, 3]
     _, r = _gate_tops(B, basis)
-    sol = solve_stack(A, B, T, basis)
+    sol = _solve(A, B, T, basis)
     assert (sol.effective_n == r).all()
     assert len(set(r.tolist())) > 2
 
@@ -412,7 +417,7 @@ def test_picks_match_a_brute_force_pick_on_a_mixed_stack():
     B = np.stack([b for _, b in pencils])
     S = rng.standard_normal((len(A), n, n))
     T = S @ S.swapaxes(1, 2)
-    sol = solve_stack(A, B, T)
+    sol = _solve(A, B, T)
     assert sol.effective_n.tolist() == [n] * 6 + [1, 0]
     # the clamp made exact zeros, and the lambdas still ascend
     assert (sol.lambdas[3, :2] == 0.0).all() and sol.lambdas[4, 0] == 0.0
@@ -424,7 +429,7 @@ def test_picks_match_a_brute_force_pick_on_a_mixed_stack():
                 _brute_force_pick(lam.tolist(), sol.alphas[k, :m, :m],
                                   A[k, :m, :m], T[k, :m, :m]))
         assert (sol.i_IH[k], sol.i_IL[k]) == want, k
-        alone = solve_stack(A[k:k + 1], B[k:k + 1], T[k:k + 1])
+        alone = _solve(A[k:k + 1], B[k:k + 1], T[k:k + 1])
         for a, b in zip(alone, sol):
             assert a.tobytes() == b[k:k + 1].tobytes(), k
     # the tied rows went to the tie-break, and not all to the last state

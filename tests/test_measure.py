@@ -651,3 +651,20 @@ def test_laguerre_engine_is_the_unpruned_sum_and_resample_drops_the_prune():
         assert np.abs(full - unpruned[row]).max() > 1e-9 * scale[row]
         assert (np.abs(full - (unpruned[row] - pruned_mass[row])).max()
                 < 1e-13 * scale[row])
+
+
+@pytest.mark.parametrize("basis", ALL_BASES)
+def test_a_block_names_its_first_overflowing_step(basis):
+    # the block's rows are checked once, after its last step: the refusal
+    # names the first step whose rows overflow, though the steps after it
+    # overflow too, and the engine is left as it was before the block
+    t = np.array([0.0, 1e300, 1.5e300])
+    p, dV = np.ones(3), np.array([1e300, 1.0, 1.0])
+    block = MomentEngine(basis, 4, 1e300)
+    block.advance_to(0.0, t, p, dV, 0, 1)
+    rows = block.raw_rows().copy()
+    with pytest.raises(InputError, match=r"sample time 1e\+300 overflow"):
+        block.advance_steps(t[1:], t, p, dV, 1, [2, 3])
+    assert block.raw_rows().tobytes() == rows.tobytes()
+    assert (block.t_now, block.last_t, block.p_last, block.tick_count) == (
+        0.0, 0.0, 1.0, 1)
