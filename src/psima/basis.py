@@ -74,9 +74,17 @@ _ORDER_BOUND = {
 }
 
 
+def _order_bound(basis: BasisId) -> int:
+    if not isinstance(basis, BasisId):
+        raise InputError(f"basis must be one of "
+                         f"{', '.join(map(str, BasisId))} (BasisId.parse "
+                         f"reads their names), got {basis!r}")
+    return _ORDER_BOUND[basis]
+
+
 def max_model_order(basis: BasisId) -> int:
     """Largest model dimension n such that orders 0..n-1 stay usable."""
-    return _ORDER_BOUND[basis] + 1
+    return _order_bound(basis) + 1
 
 
 def _check_order_count(basis: BasisId, count: int) -> None:
@@ -84,7 +92,7 @@ def _check_order_count(basis: BasisId, count: int) -> None:
     # to order 2*(n-1), hence the factor of two over the model bound.
     if count < 1:
         raise InputError("need at least one polynomial order")
-    limit = 2 * _ORDER_BOUND[basis] + 1
+    limit = 2 * _order_bound(basis) + 1
     if count > limit:
         raise CapabilityError(
             f"{basis.value}: {count} orders requested, stable limit is {limit}")
@@ -242,7 +250,7 @@ def _laguerre_row_exact(cj: list[Fraction], ck: list[Fraction]) -> np.ndarray:
 
 def linearization(basis: BasisId, j: int, k: int) -> np.ndarray:
     """Coefficients c_m^{jk}, m = 0..j+k, of Q_j*Q_k in the same family."""
-    bound = _ORDER_BOUND[basis]
+    bound = _order_bound(basis)
     if j < 0 or k < 0 or j > bound or k > bound:
         raise CapabilityError(
             f"{basis.value}: linearization order ({j},{k}) outside 0..{bound}")
@@ -280,7 +288,7 @@ class LinearizationTable:
 
 @lru_cache(maxsize=None)
 def linearization_table(basis: BasisId, n_max: int) -> LinearizationTable:
-    bound = _ORDER_BOUND[basis]
+    bound = _order_bound(basis)
     if not 0 <= n_max <= bound:
         raise CapabilityError(
             f"{basis.value}: table order {n_max} outside 0..{bound}")
@@ -343,7 +351,7 @@ def continuum_gram(basis: BasisId, n: int) -> np.ndarray:
     """
     if n < 1:
         raise InputError("matrix dimension must be >= 1")
-    if n - 1 > _ORDER_BOUND[basis]:
+    if n - 1 > _order_bound(basis):
         raise CapabilityError(f"order {n - 1} beyond {basis.value} bound")
     if basis is BasisId.LAGUERRE:
         out = np.eye(n)

@@ -8,15 +8,17 @@ duplicates P_IH by construction (the weight-function form of the same
 quadratic-form ratio) and is emitted separately because downstream
 consumers treat it as the adaptive moving average output.
 
-The engine carries moments; this module turns a stack of engine snapshots
-into IndicatorSamples with one operator assembly and one stacked pencil
-solve, which also returns the top state's forms with the price, age and
-volume operators: P_IH and T_IH are ratios of those. run_blocks runs it
-on a whole tape in fixed blocks and yields each block's samples as the
-block is solved, so a caller that writes them out needs memory for one
-block, not for the series; run_over is that iterator collected into one
-list. evaluate_at reads its one snapshot through the same assembly and
-solve, and forms its classical fields and ratios on Python scalars.
+The engine carries moments; this module reads every sample the same two
+steps. _solve turns a stack of engine snapshots into pencil solutions with
+one operator assembly and one stacked solve, which also returns each top
+state's forms with the price, age and volume operators. _reading forms one
+sample on Python floats: the classical fields from the order-0 moments,
+and P_IH and T_IH as ratios of the top state's forms. evaluate_at takes
+both steps on a stack of one. run_blocks takes them on a whole tape in
+fixed blocks, one solve per block and one reading per sample, and yields
+each block's samples as the block is solved, so a caller that writes them
+out needs memory for one block, not for the series; run_over is that
+iterator collected into one list.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from math import floor, isfinite, sqrt
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -117,8 +119,6 @@ _BLOCK = 256
 # anything is allocated.
 _MAX_GRID_SAMPLES = 10**8
 
-_OK, _NO_VOLUME, _DEGENERATE = 0, 1, 2
-
 # Readings compute with float errors raised, so a tape whose values
 # overflow the moment arithmetic is refused, not read as inf or nan.
 _RAISE = dict(over="raise", invalid="raise", divide="raise")
@@ -131,138 +131,89 @@ def _overflow(first: float, last: float, exc: Exception) -> InputError:
                       f"arithmetic ({exc})")
 
 
-class _Readings(NamedTuple):
-    status: np.ndarray      # _OK, _NO_VOLUME or _DEGENERATE per sample
-    P_tau: np.ndarray
-    P_IH: np.ndarray
-    lambda_IH: np.ndarray
-    lambda_IL: np.ndarray
-    T_IH: np.ndarray
-    T_tau: np.ndarray
-    effective_n: np.ndarray
-    p_std: np.ndarray
-
-
 # Engine rows in the order solve_stack reads operators: the Gram (time),
 # the flow operator (volume), the tie-breaker (age), then price.
 _SOLVE_ROWS = np.array([0, 1, 3, 2])
-_FLOW, _AGE, _PRICE = 1, 2, 3
 
 
-def _readings(rows: np.ndarray, engine: MomentEngine) -> _Readings:
-    """Indicator fields for a stack of the engine's snapshots, (K, 5, 2n-1).
+def _solve(rows: np.ndarray, engine: MomentEngine) -> Iterable[tuple]:
+    """The pencils of a stack of the engine's snapshots, (K, 5, 2n-1).
 
-    All four operators of every sample come from one assembly and all
+    All four operators of every snapshot come from one assembly and all
     pencils from one stacked solve, whose dimension search starts at
     engine.resolved_n; the last solved pencil's dimension is written back
-    there. The solve reads its top state's forms with every operator, so
-    P_IH and T_IH are ratios of those. A sample without window volume, or
-    whose top state reads no volume, gets a nonzero status instead.
+    there. Gives per snapshot (effective_n, i_IH, lambdas, forms) as
+    Python values, forms being the top state's with the Gram, flow, age
+    and price operators; an unsolved pencil's fields read 0.
     """
+    if not len(rows):
+        return ()
     basis, n = engine.basis, engine.n
-    vol0 = rows[:, 1, 0]
-    novol = vol0 <= 0.0
-    status = np.where(novol, _NO_VOLUME, _OK)
-    vol0 = np.where(novol, 1.0, vol0)
-    P_tau = rows[:, 2, 0] / vol0
-    T_tau = rows[:, 3, 0] / vol0
-    var = rows[:, 4, 0] / vol0 - P_tau * P_tau
-    p_std = np.sqrt(np.where(var > 0.0, var, 0.0))
+    ops = matrix_from_moments(rows.take(_SOLVE_ROWS, axis=1), n,
+                              linearization_table(basis, n - 1))
+    sol = solve_stack(ops, basis, engine.resolved_n)
+    engine.resolved_n = int(sol.effective_n[-1]) or engine.resolved_n
+    return zip(sol.effective_n.tolist(), sol.i_IH.tolist(),
+               sol.lambdas.tolist(), sol.forms.tolist())
+
+
+def _reading(t_now: float, p_last: float, moments: list[float],
+             pencil: tuple) -> IndicatorSample:
+    """The sample of one snapshot with window volume, on Python floats.
+
+    ``moments`` holds its order-0 volume, price, age and p^2 moments, and
+    ``pencil`` its solution as _solve gives it. Raises
+    DegenerateStateError where the top state reads no volume, and
+    FloatingPointError where a field overflows.
+    """
+    vol0, price0, age0, sq0 = moments
+    m, i_IH, lambdas, forms = pencil
+    P_tau = price0 / vol0
+    T_tau = age0 / vol0
+    var = sq0 / vol0 - P_tau * P_tau
+    p_std = sqrt(var if var > 0.0 else 0.0)
     # Where no dimension solves (a single tick, or every tick at one
     # timestamp: no time mass to resolve) the adaptive fields fall back to
     # the classical readings with effective_n = 0; lambda has no finite
     # value over a zero-length window and reads 0.
-    P_IH = P_tau.copy()
-    T_IH = T_tau.copy()
-    lambda_IH = np.zeros(len(rows))
-    lambda_IL = np.zeros(len(rows))
-    effective_n = np.zeros(len(rows), dtype=np.intp)
-    live = np.flatnonzero(~novol)
-    if len(live):
-        ops = matrix_from_moments(rows[live].take(_SOLVE_ROWS, axis=1), n,
-                                  linearization_table(basis, n - 1))
-        sol = solve_stack(ops, basis, engine.resolved_n)
-        engine.resolved_n = int(sol.effective_n[-1]) or engine.resolved_n
-        effective_n[live] = sol.effective_n
-        # an unsolved pencil's lambdas read 0
-        lambda_IH[live] = sol.lambdas[np.arange(len(live)), sol.i_IH]
-        lambda_IL[live] = sol.lambdas[:, 0]
-        solved = sol.effective_n > 0
-        at = live[solved]
-        f = sol.forms[solved]
-        den = f[:, _FLOW]
-        bad = den == 0.0
-        den[bad] = 1.0
-        P_IH[at] = f[:, _PRICE] / den
-        T_IH[at] = f[:, _AGE] / den
-        status[at[bad]] = _DEGENERATE
-    return _Readings(status, P_tau, P_IH, lambda_IH, lambda_IL, T_IH, T_tau,
-                     effective_n, p_std)
-
-
-def _samples(t_now, p_last, r: _Readings, which) -> list[IndicatorSample]:
-    """IndicatorSamples for readings ``which``, stamped with t_now, p_last."""
-    cols = [np.asarray(t_now, dtype=np.float64),
-            np.asarray(p_last, dtype=np.float64), r.P_tau[which],
-            r.P_IH[which], r.lambda_IH[which], r.lambda_IL[which],
-            r.T_IH[which], r.T_tau[which],
-            r.P_IH[which],  # P_aver: the same quadratic-form ratio
-            r.effective_n[which], r.p_std[which]]
-    return [IndicatorSample(*v) for v in zip(*(c.tolist() for c in cols))]
+    P_IH, T_IH = P_tau, T_tau
+    if m:
+        _, f_flow, f_age, f_price = forms
+        if f_flow == 0.0:
+            raise DegenerateStateError("f_psi denominator vanished")
+        P_IH = f_price / f_flow
+        T_IH = f_age / f_flow
+    # Python floats overflow to inf without a floating-point error
+    if not all(map(isfinite, (P_tau, T_tau, var, P_IH, T_IH))):
+        raise FloatingPointError("overflow in the readings")
+    return IndicatorSample(t_now, p_last, P_tau, P_IH, lambdas[i_IH],
+                           lambdas[0], T_IH, T_tau,
+                           P_IH,  # P_aver: the same quadratic-form ratio
+                           m, p_std)
 
 
 def evaluate_at(t_now: float, engine: MomentEngine) -> IndicatorSample:
     """One IndicatorSample from an engine positioned at t_now.
 
-    The fields _readings gives for a stack of one snapshot, bit for bit,
-    with the classical fields and the ratios formed on Python scalars
-    rather than through its per-stack bookkeeping, and refused as
-    run_over refuses it where the moments overflow the readings'
-    arithmetic.
+    The engine's snapshot goes through _solve as a stack of one and its
+    fields through _reading, the two steps run_over takes for every
+    sample, so both give the same bits; the moments overflowing that
+    arithmetic are refused as run_over refuses them.
     """
     if engine.t_now is None or engine.t_now != t_now:
         raise InputError(f"engine is at t_now={engine.t_now}, asked {t_now}")
     engine.check_window()
     t_now = float(t_now)
+    rows = engine.raw_rows()
+    moments = rows[1:, 0].tolist()
+    if moments[0] <= 0.0:
+        raise NoVolumeError("window holds no traded volume")
     try:
         with np.errstate(**_RAISE):
-            return _reading(t_now, engine)
+            (pencil,) = _solve(rows[None], engine)
+            return _reading(t_now, float(engine.p_last), moments, pencil)
     except _OVERFLOWS as exc:
         raise _overflow(t_now, t_now, exc) from None
-
-
-def _reading(t_now: float, engine: MomentEngine) -> IndicatorSample:
-    """evaluate_at's reading; the caller raises float errors."""
-    rows = engine.raw_rows()
-    vol0 = float(rows[1, 0])
-    if vol0 <= 0.0:
-        raise NoVolumeError("window holds no traded volume")
-    P_tau = float(rows[2, 0]) / vol0
-    T_tau = float(rows[3, 0]) / vol0
-    var = float(rows[4, 0]) / vol0 - P_tau * P_tau
-    p_std = sqrt(var if var > 0.0 else 0.0)
-    basis, n = engine.basis, engine.n
-    ops = matrix_from_moments(rows.take(_SOLVE_ROWS, axis=0)[None], n,
-                              linearization_table(basis, n - 1))
-    sol = solve_stack(ops, basis, engine.resolved_n)
-    m = int(sol.effective_n[0])
-    engine.resolved_n = m or engine.resolved_n
-    P_IH, T_IH, lambda_IH, lambda_IL = P_tau, T_tau, 0.0, 0.0
-    if m:
-        _, f_flow, f_age, f_price = sol.forms[0].tolist()
-        if f_flow == 0.0:
-            raise DegenerateStateError("f_psi denominator vanished")
-        P_IH = f_price / f_flow
-        T_IH = f_age / f_flow
-        lambda_IH = float(sol.lambdas[0, sol.i_IH[0]])
-        lambda_IL = float(sol.lambdas[0, 0])
-    # Python floats overflow to inf without a floating-point error
-    if not all(map(isfinite, (P_tau, T_tau, var, P_IH, T_IH))):
-        raise FloatingPointError("overflow in the readings")
-    return IndicatorSample(t_now, float(engine.p_last), P_tau, P_IH,
-                           lambda_IH, lambda_IL, T_IH, T_tau,
-                           P_IH,  # P_aver: the same quadratic-form ratio
-                           m, p_std)
 
 
 def run_over(ticks, basis: BasisId, n: int, tau: float,
@@ -300,10 +251,10 @@ def run_blocks(ticks, basis: BasisId, n: int, tau: float,
     the blocks before it have been yielded.
 
     The tape runs in blocks of _BLOCK samples: the engine steps through a
-    block's sample times (MomentEngine.advance_steps), and the block's
-    readings are solved together (_readings), with the arithmetic
-    evaluate_at runs on one snapshot. Only the engine and the tick columns
-    are kept from one block to the next.
+    block's sample times (MomentEngine.advance_steps), the block's pencils
+    are solved together (_solve), and each sample is formed by _reading,
+    the two steps evaluate_at takes for its one snapshot. Only the engine
+    and the tick columns are kept from one block to the next.
     """
     t, p, dV = tick_arrays(ticks)
     if len(t) == 0:
@@ -358,11 +309,19 @@ def _blocks(engine: MomentEngine, t, p, dV, grid: float | None,
                 last_tick = ends - 1
                 # the window is empty once its last tick is past the horizon
                 inside = np.flatnonzero(~(times - t[last_tick] > horizon))
-                r = _readings(rows[inside], engine)
+                keep = inside[rows[inside, 1, 0] > 0.0]
+                # rows[keep] is bound to no name: a copy held across the
+                # yield doubled a whole-tape run's page faults
+                samples = []
+                for ts, p_last, moments, pencil in zip(
+                        times[keep].tolist(), p[last_tick[keep]].tolist(),
+                        rows[keep, 1:, 0].tolist(),
+                        _solve(rows[keep], engine)):
+                    try:
+                        samples.append(_reading(ts, p_last, moments, pencil))
+                    except DegenerateStateError:
+                        pass
         except _OVERFLOWS as exc:
             raise _overflow(first, last, exc) from None
         i0 = int(ends[-1])
-        good = np.flatnonzero(r.status == _OK)
-        keep = inside[good]
-        yield (_samples(times[keep], p[last_tick[keep]], r, good),
-               len(times) - len(good))
+        yield samples, len(times) - len(samples)

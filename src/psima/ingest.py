@@ -1,7 +1,8 @@
 """CSV tick-tape reader and writer.
 
 Format: three comma-separated columns ``time,price,shares``, optional
-header line, UTF-8, decimal points only. Time is either epoch seconds
+header on the first nonblank line, UTF-8 with or without a byte-order
+mark, decimal points only. Time is either epoch seconds
 (fractional allowed) or HH:MM:SS[.fff] resolved against an explicit date.
 Rows must be nondecreasing in time; shares may be zero (such prints still
 advance the time measure) but never negative; prices are strictly
@@ -99,14 +100,20 @@ def _parse_lines(lines: Iterable[str], date: str | None
                  ) -> Iterator[tuple[float, float, float]]:
     prev_t = None
     clock = _Clock(date)
+    first = True  # no nonblank line read yet: it may be a header
     for lineno, raw in enumerate(lines, start=1):
+        if lineno == 1:
+            # the byte-order mark spreadsheet "CSV UTF-8" exports begin with
+            raw = raw.removeprefix("\ufeff")
         line = raw.strip()
         if not line:
             continue
         _check_utf8(line, lineno)
         fields = line.split(",")
-        if lineno == 1 and _looks_like_header(fields):
-            continue
+        if first:
+            first = False
+            if _looks_like_header(fields):
+                continue
         if len(fields) != 3:
             raise InputError(
                 f"line {lineno}: expected 3 columns, got {len(fields)}")

@@ -1,8 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import psima
 from psima import Tick
 from psima.synth import uniform01
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _children_import_this_psima():
+    # child processes (the CLI tests run `python -m psima.cli`) import the
+    # psima these tests import, also from a checkout with nothing installed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(Path(psima.__file__).parents[1]),
+                  prepend=os.pathsep)
+        yield
 
 
 def make_stream(seed: int, n_ticks: int, *, dt_lo=0.2, dt_hi=1.8,

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from psima import (BasisId, CapabilityError, InputError, evaluate_all,
-                   linearization, linearization_table, matrix_from_moments,
-                   max_model_order)
-from psima.basis import chebyshev_doubling, legendre_in_chebyshev
+from psima import (BasisId, CapabilityError, InputError, MeasureKind,
+                   MomentEngine, Tick, evaluate_all, linearization,
+                   linearization_table, matrix_from_moments, max_model_order,
+                   resample_full, run_over)
+from psima.basis import (chebyshev_doubling, continuum_gram,
+                         legendre_in_chebyshev)
 
 ALL_BASES = list(BasisId)
 
@@ -153,6 +155,26 @@ def test_order_capability_limits():
         linearization_table(BasisId.SHIFTED_LEGENDRE, 75)
     with pytest.raises(InputError):
         evaluate_all(BasisId.CHEBYSHEV, 0, 0.5)
+
+
+@pytest.mark.parametrize("bad", ["legendre", None, 3])
+@pytest.mark.parametrize("call", [
+    lambda b: MomentEngine(b, 4, 8.0),
+    lambda b: run_over([Tick(0.0, 100.0, 5.0)], b, 4, 8.0),
+    lambda b: resample_full([Tick(0.0, 100.0, 5.0)], 0.0, 8.0, b, 3,
+                            MeasureKind.VOLUME_DV),
+    lambda b: evaluate_all(b, 4, 0.5),
+    lambda b: max_model_order(b),
+    lambda b: linearization(b, 1, 1),
+    lambda b: linearization_table(b, 3),
+    lambda b: continuum_gram(b, 3),
+], ids=["MomentEngine", "run_over", "resample_full", "evaluate_all",
+        "max_model_order", "linearization", "linearization_table",
+        "continuum_gram"])
+def test_a_basis_that_is_not_a_basis_id_is_refused(call, bad):
+    with pytest.raises(InputError, match=r"BasisId\.LAGUERRE, "
+                       r"BasisId\.SHIFTED_LEGENDRE, BasisId\.CHEBYSHEV"):
+        call(bad)
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)

@@ -98,6 +98,23 @@ def test_non_utf8_input_names_the_line(tmp_path, source):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("lead", ["\ufeff", "\ufefftime,price,shares\n",
+                                  "\ntime,price,shares\n"])
+def test_byte_order_mark_and_blank_first_line(tape, tmp_path, source, lead):
+    # the rows of the tape, whether it begins with a byte-order mark, with
+    # a header after a blank line, or both
+    rows = "".join(open(tape).readlines()[1:])
+    ref = run_cli("run", "--input", str(tape), "--tau", "32")
+    body = lead + rows
+    path = tmp_path / "lead.csv"
+    path.write_text(body, encoding="utf-8")
+    r = run_cli("run", "--input", str(path) if source == "file" else "-",
+                "--tau", "32", stdin=None if source == "file" else body)
+    assert ref.returncode == r.returncode == 0, r.stderr
+    assert r.stdout == ref.stdout
+
+
 def test_time_reversal_exits_2(tmp_path):
     bad = tmp_path / "rev.csv"
     bad.write_text("5,100,5\n1,100,5\n")

@@ -8,9 +8,10 @@ from conftest import make_stream, regular_stream, rel_err
 from psima import (BasisId, DegenerateStateError, EmptyWindowError,
                    InputError, MeasureKind, MomentEngine, NoVolumeError, Tick,
                    WaveFunction, ema_price, age_tau, evaluate_at, f_psi, flow,
-                   gram, parse_csv, phi_average, resample_full, run_over,
-                   solve_pencil, tick_arrays, weighted)
+                   gram, parse_csv, phi_average, resample_full, run_blocks,
+                   run_over, solve_pencil, tick_arrays, weighted)
 from psima.measure import PRUNE_HORIZON, _single_shift
+from psima.synth import steady
 
 
 def _run_engine(ticks, basis=BasisId.SHIFTED_LEGENDRE, n=8, tau=64.0):
@@ -434,3 +435,17 @@ def test_overflowing_tapes_are_refused(tape, n):
             assert repr(float(t[l])) in str(exc)
             refused.append(l)
     assert refused
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+def test_run_blocks_yields_the_blocks_before_an_overflowing_one(basis):
+    # the second block meets a 1e300 s step: the first block's samples are
+    # out before the refusal, which names the second block's span
+    head = steady(1, 100, 100, 320, 3)[:300]
+    blocks = run_blocks(head + [Tick(1e300, 100, 5)], basis, 12, 32.0)
+    samples, skipped = next(blocks)
+    assert (len(samples), skipped) == (256, 0)
+    assert samples == run_over(head, basis, 12, 32.0)[0][:256]
+    with pytest.raises(InputError,
+                       match=r"243\.04002175408917 to 1e\+300 overflow"):
+        next(blocks)

@@ -28,6 +28,30 @@ def test_blank_lines_ignored():
     assert len(parse_csv(io.StringIO(body))) == 2
 
 
+@pytest.mark.parametrize("body", [
+    "\ufeff0,100.0,50\n1,101.0,30\n",                     # headerless
+    "\ufefftime,price,shares\n0,100.0,50\n1,101.0,30\n",  # with header
+    "\ntime,price,shares\n0,100.0,50\n1,101.0,30\n",      # blank first
+    " \n\n time,price,shares\n0,100.0,50\n1,101.0,30\n",
+    "\ufeff\n\ntime,price,shares\n0,100.0,50\n1,101.0,30\n",
+])
+def test_byte_order_mark_and_leading_blank_lines(tmp_path, body):
+    # spreadsheets' "CSV UTF-8" begins with a byte-order mark, and the
+    # header is the first nonblank line wherever it falls
+    plain = [Tick(0.0, 100.0, 50.0), Tick(1.0, 101.0, 30.0)]
+    assert parse_csv(io.StringIO(body)) == plain
+    path = tmp_path / "tape.csv"
+    path.write_text(body, encoding="utf-8")
+    assert parse_csv(path) == plain
+
+
+@pytest.mark.parametrize("body", ["0,100.0,50\ntime,price,shares\n",
+                                  "0,100.0,50\n\ufeff1,101.0,30\n"])
+def test_a_header_or_byte_order_mark_after_the_first_row_is_refused(body):
+    with pytest.raises(InputError, match="line 2: bad time"):
+        parse_csv(io.StringIO(body))
+
+
 def test_time_of_day_with_date():
     body = "09:30:00.250,100.0,10\n09:30:01,101.0,20\n"
     ticks = parse_csv(io.StringIO(body), date="2024-03-05")
