@@ -294,20 +294,10 @@ def linearization_table(basis: BasisId, n_max: int) -> LinearizationTable:
             f"{basis.value}: table order {n_max} outside 0..{bound}")
     size = n_max + 1
     coeffs = np.zeros((size, size, 2 * n_max + 1))
-    if basis is BasisId.LAGUERRE:
-        mono = [_laguerre_monomial(m) for m in range(size)]
-        for j in range(size):
-            for k in range(j, size):
-                row = _laguerre_row_exact(mono[j], mono[k])
-                coeffs[j, k, :j + k + 1] = row
-                coeffs[k, j, :j + k + 1] = row
-    else:
-        fn = _chebyshev_row if basis is BasisId.CHEBYSHEV else _legendre_row
-        for j in range(size):
-            for k in range(j, size):
-                row = fn(j, k)
-                coeffs[j, k, :j + k + 1] = row
-                coeffs[k, j, :j + k + 1] = row
+    for j in range(size):
+        for k in range(j, size):
+            coeffs[j, k, :j + k + 1] = coeffs[k, j, :j + k + 1] = (
+                linearization(basis, j, k))
     return LinearizationTable(basis=basis, n_max=n_max, coeffs=coeffs)
 
 

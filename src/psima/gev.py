@@ -25,18 +25,24 @@ After the eigensolve nothing is searched: eigh returns the eigenvalues
 ascending, so the bottom state is the first and the top state the last,
 unless the last two are tied.
 
-The first two gates, pivot and resolution, each pass on a prefix 1..r of
-the dimensions. The pivot gate is a running minimum and maximum of the
-Gram diagonal. The resolution gate bounds the condition number of the
-window Gram whitened by the ideal window's inverse Cholesky factor W0,
-and its eigensolve is the one that whitens the pencil. W0 is
-lower-triangular, so the whitened m-by-m Gram is the leading block of
-the whitened n-by-n one, and by Cauchy interlacing (Horn & Johnson,
-Matrix Analysis, 4.3) the extreme eigenvalues of a leading block lie
-inside those of the whole: its conditioning can only fall as m falls.
-So the search for r need not start at n. It starts where the caller's
-last solve stopped: above that dimension it walks up only while the
-gate passes, and below it each dimension gates and solves in one step.
+The first gate, resolution, passes on a prefix 1..r of the dimensions.
+It bounds the condition number of the window Gram whitened by the ideal
+window's inverse Cholesky factor W0, and its eigensolve is the one that
+whitens the pencil. W0 is lower-triangular, so the whitened m-by-m Gram
+is the leading block of the whitened n-by-n one, and by Cauchy
+interlacing (Horn & Johnson, Matrix Analysis, 4.3) the extreme
+eigenvalues of a leading block lie inside those of the whole: its
+conditioning can only fall as m falls. So the search for r need not
+start at n. It starts where the caller's last solve stopped: above that
+dimension it walks up only while the gate passes, and below it each
+dimension gates and solves in one step.
+
+No pivot test on the Gram's diagonal is needed beside it. With
+B = L M L^T, L = W0^-1 and G = L L^T the ideal Gram, each B_ii lies
+between the extreme eigenvalues of M times G_ii, so a Gram that passes
+has a positive diagonal whose smallest-to-largest ratio is at least
+1/KAPPA_CAP times G's: over 6.7e-8 for Legendre at 75 orders. Only a
+bare pencil, which whitens by its own diagonal, tests it (_resolved).
 """
 
 from __future__ import annotations
@@ -52,9 +58,10 @@ from .errors import DegenerateStateError, EmptyWindowError, InputError
 
 __all__ = ["WaveFunction", "SpectralDecomposition", "solve_pencil", "rayleigh"]
 
-# Pivot acceptance: the smallest Gram diagonal relative to the largest,
-# and for a bare pencil the smallest eigenvalue of its equilibrated Gram
-# relative to the largest.
+# A bare pencil's resolution gate: the smallest entry of its Gram's
+# diagonal relative to the largest, and the smallest eigenvalue of its
+# equilibrated Gram relative to the largest. A pencil with a basis needs
+# neither; KAPPA_CAP bounds both (see the module docstring).
 PIVOT_RTOL = 1e-13
 # Eigenvalues within this relative band of the max are tied.
 TIE_RTOL = 1e-10
@@ -90,13 +97,12 @@ class PencilStack(NamedTuple):
     operator of the solved stack, Gram and flow operator first, so
     forms[k, 0] is 1 up to the normalization gate. effective_n is 0,
     and every other field 0, where no dimension solves. The lambdas
-    ascend, so i_IL is 0.
+    ascend, so the bottom state is always the first.
     """
     effective_n: np.ndarray   # (K,) int
     lambdas: np.ndarray       # (K, n)
     alphas: np.ndarray        # (K, n, n)
     i_IH: np.ndarray          # (K,) int
-    i_IL: np.ndarray          # (K,) int
     forms: np.ndarray         # (K, k)
 
 
@@ -146,7 +152,7 @@ def solve_pencil(A, B, tie_breaker=None) -> SpectralDecomposition:
                    for i in range(m))
     return SpectralDecomposition(lambdas=sol.lambdas[0, :m].copy(),
                                  states=states, i_IH=int(sol.i_IH[0]),
-                                 i_IL=int(sol.i_IL[0]), effective_n=m)
+                                 i_IL=0, effective_n=m)
 
 
 def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
@@ -158,13 +164,12 @@ def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
     operators are only read: the solution carries each top state's
     quadratic form with every operator of its stack (PencilStack.forms).
     Every pencil first tries the largest dimension its Gram passes the
-    pivot and resolution gates at, and each that fails a gate there tries
-    one lower, each dimension solving its remaining pencils together. The
-    pivot gate passes on a prefix of the dimensions, and so does the
-    resolution gate (see the module docstring): a pencil tries no
-    dimension its pivot gate misses, and one above ``start`` (default n)
-    only once it has passed the resolution gate at every dimension from
-    ``start`` + 1 up. ``basis`` sets the resolution gate, as the
+    resolution gate at, and each that fails a gate there tries one lower,
+    each dimension solving its remaining pencils together. The resolution
+    gate passes on a prefix of the dimensions (see the module docstring):
+    every pencil tries ``start`` (default n) and those below it, and a
+    dimension above ``start`` only once it has passed the gate at every
+    dimension from ``start`` + 1 up. ``basis`` sets the gate, as the
     OperatorMatrix wrappers do for solve_pencil. While every pencil of
     the stack is still unsolved, a dimension reads the leading blocks of
     the whole stack as views; a live stack of one always does.
@@ -176,24 +181,17 @@ def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
     alphas = np.zeros((K, n, n))
     i_IH = np.zeros(K, dtype=np.intp)
     forms = np.zeros((K, k))
-    # pivot gate of every leading dimension at once: column m-1 holds the
-    # verdict on the m-by-m Gram's diagonal
-    d = _diag(B)
-    lo = np.minimum.accumulate(d, axis=1)
-    top = ((lo > 0.0) & (lo >= PIVOT_RTOL * np.maximum.accumulate(d, axis=1))
-           ).sum(axis=1)
     # reach: the largest dimension each unsolved pencil may still try, 0
     # once solved. Above the start it is walked up while the resolution
     # gate passes.
     h = min(max(n if start is None else int(start), 1), n)
-    reach = np.minimum(top, h)
-    up = np.flatnonzero(top > h) if h < n else ()
-    m = h
-    while len(up):
-        m += 1
+    reach = np.full(K, h)
+    up = np.arange(K)
+    for m in range(h + 1, n + 1):
         up = up[_resolved(B[up, :m, :m], basis, m)[0]]
+        if not len(up):
+            break
         reach[up] = m
-        up = up[top[up] > m]
     m, least = int(reach.max(initial=0)), int(reach.min(initial=n))
     while m:
         if m <= least:
@@ -215,8 +213,7 @@ def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
         reach[done] = 0
         least = 0
         m = min(m - 1, int(reach.max()))
-    return PencilStack(effective_n, lambdas, alphas, i_IH,
-                       np.zeros(K, dtype=np.intp), forms)
+    return PencilStack(effective_n, lambdas, alphas, i_IH, forms)
 
 
 def _swap(X: np.ndarray) -> np.ndarray:
@@ -235,7 +232,7 @@ def _sqnorms(X: np.ndarray) -> np.ndarray:
 
 
 def _solve_dim(ops, basis):
-    """Every gate after the pivot gate, for a stack of (k, m, m) operators.
+    """Every gate, for a stack of (k, m, m) operators.
 
     The resolution gate's eigensolve M = V Lambda V^T, M = W0 B W0^T,
     also whitens: W = Lambda^-1/2 V^T W0 has W B W^T = I, and reduces
@@ -323,15 +320,20 @@ def _resolved(B: np.ndarray, basis: BasisId | None, m: int):
     whitens B. Against the ideal window the gate caps the conditioning
     of M at KAPPA_CAP, a comparison of quadratic forms that every basis
     makes alike, so all bases reduce their dimension at the same
-    samples; a bare pencil's M only has to stay PIVOT_RTOL away from
-    singular.
+    samples. A bare pencil's M, and the diagonal its whitener divides
+    by, only have to stay PIVOT_RTOL away from singular.
     """
-    W0 = (np.eye(m) / np.sqrt(_diag(B))[:, None, :] if basis is None
-          else _ideal_whitener(basis, m))
+    if basis is None:
+        d = _diag(B)
+        W0 = np.eye(m) / np.sqrt(np.where(d > 0.0, d, 1.0))[:, None, :]
+        dlo = d.min(axis=1)
+        ok = (dlo > 0.0) & (dlo >= PIVOT_RTOL * d.max(axis=1))
+    else:
+        W0, ok = _ideal_whitener(basis, m), True
     lam, V = np.linalg.eigh(W0 @ B @ _swap(W0))
     lo, hi = lam[:, 0], lam[:, -1]
-    ok = (lo > 0.0) & (lo >= PIVOT_RTOL * hi if basis is None
-                       else hi <= KAPPA_CAP * lo)
+    ok &= (lo > 0.0) & (lo >= PIVOT_RTOL * hi if basis is None
+                        else hi <= KAPPA_CAP * lo)
     return ok, lam, _swap(V) @ W0
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .basis import BasisId, linearization_table, matrix_from_moments
 from .errors import DegenerateStateError, InputError, NoVolumeError
-from .gev import SpectralDecomposition, WaveFunction, _entries, solve_stack
+from .gev import SpectralDecomposition, WaveFunction, rayleigh, solve_stack
 from .measure import PRUNE_HORIZON, MomentEngine, tick_arrays
 
 __all__ = [
@@ -86,15 +86,7 @@ def age_tau(moments_age, moments_volume) -> float:
 
 def f_psi(psi: WaveFunction, M_num, M_den) -> float:
     """<psi|f|psi>/<psi|I|psi> as a ratio of quadratic forms."""
-    a = np.asarray(psi.alpha, dtype=np.float64)
-    num = _entries(M_num)
-    den = _entries(M_den)
-    if a.shape[0] != num.shape[0] or num.shape != den.shape:
-        raise InputError("dimension mismatch in f_psi")
-    d = float(a @ den @ a)
-    if d == 0.0:
-        raise DegenerateStateError("f_psi denominator vanished")
-    return float(a @ num @ a) / d
+    return rayleigh(psi, M_num, M_den)
 
 
 def price_IH(dec: SpectralDecomposition, M_pI, M_I) -> float:

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .basis import BasisId, max_model_order
+from .basis import BasisId, _check_order_count, max_model_order
 from .errors import CapabilityError, EmptyWindowError, InputError
 
 __all__ = [
@@ -197,14 +197,12 @@ def omega(t, t_now: float, tau: float):
     return np.exp(-(t_now - np.asarray(t, dtype=np.float64)) / tau)
 
 
-def _check_orders(basis: BasisId, orders: int) -> None:
-    if orders < 1:
-        raise InputError("order_count must be >= 1")
-    limit = 2 * max_model_order(basis) - 1
-    if orders > limit:
-        raise CapabilityError(
-            f"{basis.value}: {orders} moment orders exceed the stable "
-            f"limit {limit}")
+def _row(measure: MeasureKind) -> int:
+    if not isinstance(measure, MeasureKind):
+        raise InputError(f"measure must be one of "
+                         f"{', '.join(map(str, MeasureKind))}, "
+                         f"got {measure!r}")
+    return _ROW[measure]
 
 
 def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
@@ -213,9 +211,11 @@ def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
 
     Only ticks with t <= t_now participate; older ticks than the pruning
     horizon contribute nothing. Raises EmptyWindowError when no tick lies
-    at or before t_now, and InputError when t_now is not finite.
+    at or before t_now, and InputError when t_now is not finite or
+    ``measure`` is not a MeasureKind.
     """
-    _check_orders(basis, orders)
+    row = _row(measure)
+    _check_order_count(basis, orders)
     _check_tau(tau)
     if not isfinite(t_now):
         raise InputError(_NOT_FINITE)
@@ -228,7 +228,7 @@ def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
     out = np.zeros((5, orders))
     _kernels.accumulate_block(t, p, dV, 0, idx, t[0], t_now, tau, basis, out)
     return MomentVector(basis=basis, tau=tau, t_now=float(t_now),
-                        measure=measure, values=out[_ROW[measure]].copy())
+                        measure=measure, values=out[row].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def advance_incremental(state: MomentVector, new_ticks, new_t_now: float, *,
         raise InputError("new_t_now must not precede the state's t_now")
     orders = state.order_count
     rows = np.zeros((5, orders))
-    rows[_ROW[state.measure]] = state.values
+    rows[_row(state.measure)] = state.values
     if state.measure is MeasureKind.AGE_VOLUME:
         if volume is None:
             raise InputError("age advance needs the companion volume moments")
@@ -295,6 +295,10 @@ class MomentEngine:
     """
 
     def __init__(self, basis: BasisId, n: int, tau: float):
+        if not (isinstance(n, (int, np.integer))
+                or isinstance(n, float) and n.is_integer()):
+            raise InputError(f"model dimension n must be an integer, "
+                             f"got {n!r}")
         if n < 1:
             raise InputError("model dimension n must be >= 1")
         if n > max_model_order(basis):
@@ -453,7 +457,7 @@ class MomentEngine:
         self.check_window()
         return MomentVector(basis=self.basis, tau=self.tau, t_now=self.t_now,
                             measure=measure,
-                            values=self.state[_ROW[measure]].copy())
+                            values=self.state[_row(measure)].copy())
 
     def raw_rows(self) -> np.ndarray:
         """All five moment rows (time, volume, price, age, p^2); no copy."""

@@ -6,7 +6,8 @@ from conftest import make_stream, regular_stream
 from psima import (BasisId, DegenerateStateError, EmptyWindowError,
                    InputError, MeasureKind, MomentEngine, flow, gram, rayleigh,
                    solve_pencil, tick_arrays)
-from psima.basis import linearization_table, matrix_from_moments
+from psima.basis import (continuum_gram, linearization_table,
+                         matrix_from_moments, max_model_order)
 from psima import gev
 from psima.gev import _resolved, solve_stack
 from psima.synth import spike, steady
@@ -276,18 +277,13 @@ def _tape_ops(tape, basis, n=12):
                                linearization_table(basis, n - 1))
 
 
-def _gate_tops(B, basis):
-    # the largest dimension of each Gram's pivot-gate prefix, and of its
-    # prefix passing both the pivot and the resolution gate
+def _resolved_tops(B, basis):
+    # the largest dimension of each Gram's prefix of dimensions passing
+    # the resolution gate
     n = B.shape[-1]
-    d = np.diagonal(B, axis1=1, axis2=2)
-    dmin = np.minimum.accumulate(d, axis=1)
-    pivot = (dmin > 0.0) & (dmin >= gev.PIVOT_RTOL
-                            * np.maximum.accumulate(d, axis=1))
     flags = np.stack([_resolved(B[:, :m, :m], basis, m)[0]
                       for m in range(1, n + 1)], axis=1)
-    return (pivot.sum(axis=1),
-            np.logical_and.accumulate(pivot & flags, axis=1).sum(axis=1))
+    return np.logical_and.accumulate(flags, axis=1).sum(axis=1)
 
 
 @pytest.mark.parametrize("basis", [BasisId.LAGUERRE,
@@ -296,21 +292,22 @@ def test_dimension_search_probes_only_where_a_pencil_can_pass(
         benchmark_tapes, basis, monkeypatch):
     n = 12
     ops = _tape_ops(benchmark_tapes["live"], basis, n)
-    # the first pencil of each dimension the tape resolves, so every
-    # start has pencils that walk up and pencils that walk down; one whose
-    # pivot gate fails above dimension 3 (scaled, so that its Gram's
-    # first entry names it among the others), and a zero pencil
-    _, r = _gate_tops(ops[:, 0], basis)
-    ops = ops[[int(np.flatnonzero(r == m)[0]) for m in np.unique(r)]]
+    # the first pencil of each dimension from 1 the tape resolves, so
+    # every start has pencils that walk up and pencils that walk down; one
+    # whose Gram is singular above dimension 3 (scaled, so that its Gram's
+    # first entry names it among the others), and a zero pencil, which
+    # stands for the tape's first one (a single tick has no time mass)
+    r = _resolved_tops(ops[:, 0], basis)
+    assert not ops[0, 0].any() and r[0] == 0
+    ops = ops[[int(np.flatnonzero(r == m)[0]) for m in np.unique(r) if m]]
     cut = 2.0 * ops[-1]
     cut[:, 3, :] = cut[:, :, 3] = 0.0
     ops = np.concatenate([ops, cut[None], np.zeros((1,) + cut.shape)])
     A, B, T = ops[:, 1], ops[:, 0], ops[:, 3]
-    top, r = _gate_tops(B, basis)
-    assert top[-2:].tolist() == [3, 0]
-    # no pencil of pivot top 0 is ever probed
-    name = {float(B[k, 0, 0]): k for k in np.flatnonzero(top)}
-    assert len(name) == np.count_nonzero(top)
+    r = _resolved_tops(B, basis)
+    assert r[-2:].tolist() == [3, 0]
+    name = {float(B[k, 0, 0]): k for k in range(len(B))}
+    assert len(name) == len(B)
     probes = []
     resolved = gev._resolved
 
@@ -322,30 +319,38 @@ def test_dimension_search_probes_only_where_a_pencil_can_pass(
     ref = _solve(A, B, T, basis)
     e = ref.effective_n
     assert len(set(e.tolist())) > 6
+    assert e[-2:].tolist() == [3, 0]
+    cut_k, zero_k = len(B) - 2, len(B) - 1
     for start in range(1, n + 1):
         probes.clear()
         got = _solve(A, B, T, basis, start)
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
-        # the walk above the start probes m on the pencils whose pivot
-        # gate reaches m and that passed at m - 1 (all that reach
-        # start + 1 at first), until none is left
+        # the walk above the start probes m on the pencils that passed
+        # the resolution gate at m - 1 (all of them at start + 1), until
+        # none is left
         want = []
         for m in range(start + 1, n + 1):
-            walk = (top >= m) & ((r >= m - 1) | (m == start + 1))
+            walk = (r >= m - 1) | (m == start + 1)
             if not walk.any():
                 break
             want.append((m, np.flatnonzero(walk).tolist()))
         # then each dimension, from the highest one reached, gates the
         # pencils not yet solved that reach it: above the start, those
-        # the walk passed there; up to the start, those whose pivot gate
-        # reaches it. A dimension no such pencil reaches is skipped.
-        reach = np.maximum(np.minimum(top, start), r)
+        # the walk passed there; up to the start, all of them. A dimension
+        # no such pencil reaches is skipped.
+        reach = np.maximum(r, start)
         for m in range(n, 0, -1):
             cand = np.flatnonzero((reach >= m) & (e <= m))
             if len(cand):
                 want.append((m, cand.tolist()))
         assert probes == want, start
+        # the zero pencil is probed and rejected at every dimension up to
+        # the start, and the cut one at every dimension from 4 up to it
+        assert [m for m, ks in probes if zero_k in ks] == (
+            [start + 1] * (start < n) + list(range(start, 0, -1)))
+        assert {m for m, ks in probes if cut_k in ks} >= set(
+            range(4, start + 1))
         for k in range(len(B)):
             alone = _solve(A[k:k + 1], B[k:k + 1], T[k:k + 1], basis,
                                 start)
@@ -362,10 +367,54 @@ def test_later_gates_drop_no_dimension_on_the_benchmark_tapes(
     # orthogonality or residual gate
     ops = _tape_ops(benchmark_tapes[tape], basis)[::8]
     A, B, T = ops[:, 1], ops[:, 0], ops[:, 3]
-    _, r = _gate_tops(B, basis)
+    r = _resolved_tops(B, basis)
     sol = _solve(A, B, T, basis)
     assert (sol.effective_n == r).all()
     assert len(set(r.tolist())) > 2
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+@pytest.mark.parametrize("tape", ["criterion10", "live"])
+def test_a_resolved_gram_has_a_clear_diagonal(benchmark_tapes, tape,
+                                              basis):
+    # B = L M L^T with G = L L^T the ideal Gram, so each B_ii is a
+    # quadratic form of M over a vector of squared length G_ii and lies
+    # in [lambda_min, lambda_max] of M times G_ii (Horn & Johnson, Matrix
+    # Analysis, 4.3): a Gram the resolution gate passes has a positive
+    # diagonal whose smallest ratio is at least 1/KAPPA_CAP times the
+    # ideal Gram's, so no pivot gate is needed where a basis is given
+    B = _tape_ops(benchmark_tapes[tape], basis)[::8, 0]
+    passed = 0
+    for m in range(1, B.shape[-1] + 1):
+        ok, lam, _ = _resolved(B[:, :m, :m], basis, m)
+        d = (np.diagonal(B[ok, :m, :m], axis1=1, axis2=2)
+             / np.diag(continuum_gram(basis, m)))
+        lo, hi = lam[ok, :1], lam[ok, -1:]
+        slack = 1e-12 * hi
+        assert ((lo - slack <= d) & (d <= hi + slack)).all(), m
+        assert (d.min(axis=1) > 0.0).all()
+        assert (d.min(axis=1) >= d.max(axis=1) / gev.KAPPA_CAP
+                * (1.0 - 1e-12)).all()
+        passed += ok.sum()
+    assert passed > len(B)
+    # the smallest diagonal ratio of the ideal Gram is that of its largest
+    # block, whose leading blocks only narrow the range
+    g = np.diag(continuum_gram(basis, max_model_order(basis)))
+    assert g.min() / g.max() / gev.KAPPA_CAP > gev.PIVOT_RTOL
+
+
+@pytest.mark.parametrize("entry", [0.0, -1.0, 1e-20])
+def test_a_bare_pencil_without_a_clear_diagonal_drops_below_it(entry):
+    # a bare pencil whitens by its own diagonal, so an entry that is not
+    # clearly positive caps its dimension below that index, and the gate
+    # reads no square root of it
+    rng = np.random.default_rng(31)
+    A, B = _random_pencil(rng, 5, b_floor=5.0)
+    B[3, :] = B[:, 3] = 0.0
+    B[3, 3] = entry
+    with np.errstate(all="raise"):
+        dec = solve_pencil(A, B)
+    assert dec.effective_n == 3
 
 
 def _pencil_with_spectrum(rng, lam):
@@ -425,10 +474,10 @@ def test_picks_match_a_brute_force_pick_on_a_mixed_stack():
         m = int(sol.effective_n[k])
         lam = sol.lambdas[k, :m]
         assert np.all(np.diff(lam) >= 0.0)
-        want = ((0, 0) if m == 0 else
-                _brute_force_pick(lam.tolist(), sol.alphas[k, :m, :m],
-                                  A[k, :m, :m], T[k, :m, :m]))
-        assert (sol.i_IH[k], sol.i_IL[k]) == want, k
+        top, low = ((0, 0) if m == 0 else
+                    _brute_force_pick(lam.tolist(), sol.alphas[k, :m, :m],
+                                      A[k, :m, :m], T[k, :m, :m]))
+        assert sol.i_IH[k] == top and low == 0, k
         alone = _solve(A[k:k + 1], B[k:k + 1], T[k:k + 1])
         for a, b in zip(alone, sol):
             assert a.tobytes() == b[k:k + 1].tobytes(), k

@@ -9,6 +9,7 @@ from conftest import make_stream, rel_err
 from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
                    MeasureKind, MomentEngine, Tick, advance_incremental,
                    omega, resample_full, run_over, tick_arrays, x_of_t)
+from psima import _kernels
 from psima._kernels import (PRUNE_OMEGA, _table, accumulate_block,
                             shift_matrices, shift_matrix)
 from psima.basis import evaluate_all, max_model_order
@@ -256,6 +257,39 @@ def test_engine_validation():
     t = np.array([5.0, 4.0])
     with pytest.raises(InputError):
         eng.advance_to(3.0, t, t, t, 0, 2)  # ticks after t_new
+
+
+_MEASURES = (r"MeasureKind\.TIME_DT, MeasureKind\.VOLUME_DV, "
+             r"MeasureKind\.PRICE_VOLUME, MeasureKind\.AGE_VOLUME")
+
+
+@pytest.mark.parametrize("bad", ["volume_dv", None, 1])
+def test_a_measure_that_is_not_a_measure_kind_is_refused(bad, monkeypatch):
+    ticks = [Tick(0.0, 100.0, 5.0), Tick(1.0, 101.0, 3.0)]
+    eng = MomentEngine(BasisId.LAGUERRE, 2, 8.0)
+    eng.advance_to(1.0, *tick_arrays(ticks), 0, 2)
+    with pytest.raises(InputError, match=_MEASURES):
+        eng.moments(bad)
+
+    # refused before the tape is summed
+    def summed(*args):
+        raise AssertionError("the tape was summed")
+
+    monkeypatch.setattr(_kernels, "accumulate_block", summed)
+    with pytest.raises(InputError, match=_MEASURES):
+        resample_full(ticks, 1.0, 8.0, BasisId.LAGUERRE, 3, bad)
+
+
+@pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), "2"])
+def test_engine_refuses_a_dimension_that_is_not_an_integer(n):
+    with pytest.raises(InputError, match="must be an integer"):
+        MomentEngine(BasisId.LAGUERRE, n, 64.0)
+
+
+@pytest.mark.parametrize("n", [2, 2.0, np.int64(2), np.float64(2.0)])
+def test_engine_takes_an_integral_dimension(n):
+    eng = MomentEngine(BasisId.LAGUERRE, n, 64.0)
+    assert type(eng.n) is int and eng.n == 2 and eng.orders == 3
 
 
 def test_moment_decay_is_monotone_without_new_mass():
