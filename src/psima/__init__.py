@@ -24,9 +24,8 @@ from .indicators import (IndicatorSample, age_IH, age_tau, ema_price,
                          evaluate_at, f_psi, phi_average, price_IH,
                          run_blocks, run_over)
 from .ingest import parse_csv, serialize_csv
-from .measure import (MeasureKind, MomentEngine, MomentVector, Tick,
-                      advance_incremental, omega, resample_full, tick_arrays,
-                      x_of_t)
+from .measure import (MeasureKind, MomentEngine, MomentVector, Tick, omega,
+                      resample_full, tick_arrays, x_of_t)
 from .operators import OperatorMatrix, flow, gram, weighted
 from .synth import spike, steady, uniform01
 
@@ -38,7 +37,7 @@ __all__ = [
     "PsimaError", "InputError", "CapabilityError", "EmptyWindowError",
     "NoVolumeError", "DegenerateStateError",
     "Tick", "MeasureKind", "MomentVector", "MomentEngine", "x_of_t", "omega",
-    "resample_full", "advance_incremental", "tick_arrays",
+    "resample_full", "tick_arrays",
     "OperatorMatrix", "gram", "flow", "weighted",
     "WaveFunction", "SpectralDecomposition", "solve_pencil", "rayleigh",
     "IndicatorSample", "ema_price", "age_tau", "f_psi", "price_IH", "age_IH",

@@ -87,15 +87,31 @@ def max_model_order(basis: BasisId) -> int:
     return _order_bound(basis) + 1
 
 
-def _check_order_count(basis: BasisId, count: int) -> None:
-    # count = number of polynomials requested; moment vectors may need up
-    # to order 2*(n-1), hence the factor of two over the model bound.
+def _integer(value, name: str) -> int:
+    """``value`` as an int, or an InputError naming the argument ``name``.
+
+    Ints, numpy integers and integral floats (3.0) pass; anything else,
+    2.5, nan, inf and "3" among them, is refused. Every count and order
+    a public entry point takes is read through here.
+    """
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_order_count(basis: BasisId, count, name: str) -> int:
+    # count = number of polynomials requested, returned as an int; moment
+    # vectors may need up to order 2*(n-1), hence the factor of two over
+    # the model bound.
+    count = _integer(count, name)
     if count < 1:
         raise InputError("need at least one polynomial order")
     limit = 2 * _order_bound(basis) + 1
     if count > limit:
         raise CapabilityError(
             f"{basis.value}: {count} orders requested, stable limit is {limit}")
+    return count
 
 
 def evaluate_all(basis: BasisId, n: int, x):
@@ -108,7 +124,7 @@ def evaluate_all(basis: BasisId, n: int, x):
     exponentially and have historically produced garbage matrices that
     *look* plausible, hence the hard error.
     """
-    _check_order_count(basis, n)
+    n = _check_order_count(basis, n, "n")
     xa = np.asarray(x, dtype=np.float64)
 
     if basis is BasisId.LAGUERRE:
@@ -182,6 +198,7 @@ def legendre_in_chebyshev(n: int) -> np.ndarray:
     sums to 1 (P_m(1) = T_k(1) = 1) up to one rounding per entry. The
     affine shift to [0, 1] leaves the coefficients unchanged.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise InputError("need at least one polynomial order")
     c = np.zeros((n, n))
@@ -251,6 +268,7 @@ def _laguerre_row_exact(cj: list[Fraction], ck: list[Fraction]) -> np.ndarray:
 def linearization(basis: BasisId, j: int, k: int) -> np.ndarray:
     """Coefficients c_m^{jk}, m = 0..j+k, of Q_j*Q_k in the same family."""
     bound = _order_bound(basis)
+    j, k = _integer(j, "j"), _integer(k, "k")
     if j < 0 or k < 0 or j > bound or k > bound:
         raise CapabilityError(
             f"{basis.value}: linearization order ({j},{k}) outside 0..{bound}")
@@ -289,6 +307,7 @@ class LinearizationTable:
 @lru_cache(maxsize=None)
 def linearization_table(basis: BasisId, n_max: int) -> LinearizationTable:
     bound = _order_bound(basis)
+    n_max = _integer(n_max, "n_max")
     if not 0 <= n_max <= bound:
         raise CapabilityError(
             f"{basis.value}: table order {n_max} outside 0..{bound}")
@@ -315,6 +334,7 @@ def matrix_from_moments(moments, n: int, table: LinearizationTable) -> np.ndarra
     assembly, as np.einsum, which this replaced, did not: it gave inf.
     """
     values = np.asarray(getattr(moments, "values", moments), dtype=np.float64)
+    n = _integer(n, "n")
     if n < 1:
         raise InputError("matrix dimension must be >= 1")
     if n - 1 > table.n_max:
@@ -339,6 +359,7 @@ def continuum_gram(basis: BasisId, n: int) -> np.ndarray:
     compares quadratic forms on one polynomial subspace), which is what
     makes it usable as a basis-independent resolution judge.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise InputError("matrix dimension must be >= 1")
     if n - 1 > _order_bound(basis):

@@ -172,7 +172,7 @@ def _reading(t_now: float, p_last: float, moments: list[float],
     if m:
         _, f_flow, f_age, f_price = forms
         if f_flow == 0.0:
-            raise DegenerateStateError("f_psi denominator vanished")
+            raise DegenerateStateError("top state reads no volume")
         P_IH = f_price / f_flow
         T_IH = f_age / f_flow
     # Python floats overflow to inf without a floating-point error

@@ -13,10 +13,10 @@ carries p^2 dV so the CLI can emit a variance column without a second pass.
 Two ways to obtain moments at a timestamp:
 
 * ``resample_full`` walks the whole tape; the reference path.
-* ``MomentEngine`` / ``advance_incremental`` shift an existing moment state
-  from t_now to a later timestamp without touching old ticks. Shifting the
-  reference time rescales every omega by s = exp(-delta/tau) and moves the
-  window coordinate affinely (x' = s*x for the exponential coordinate,
+* ``MomentEngine`` shifts its moment state from t_now to a later
+  timestamp without touching old ticks. Shifting the reference time
+  rescales every omega by s = exp(-delta/tau) and moves the window
+  coordinate affinely (x' = s*x for the exponential coordinate,
   y' = y + delta/tau for the linear one), so Q_m at the new coordinate is an
   exact linear combination of Q_0..Q_m at the old one. The combination
   matrix G comes from the addition theorem in closed form for Laguerre,
@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .basis import BasisId, _check_order_count, max_model_order
+from .basis import BasisId, _check_order_count, _integer, max_model_order
 from .errors import CapabilityError, EmptyWindowError, InputError
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "x_of_t",
     "omega",
     "resample_full",
-    "advance_incremental",
     "tick_arrays",
     "PRUNE_HORIZON",
 ]
@@ -215,7 +214,7 @@ def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
     ``measure`` is not a MeasureKind.
     """
     row = _row(measure)
-    _check_order_count(basis, orders)
+    orders = _check_order_count(basis, orders, "orders")
     _check_tau(tau)
     if not isfinite(t_now):
         raise InputError(_NOT_FINITE)
@@ -245,46 +244,6 @@ def _single_shift(basis: BasisId, delta_over_tau: float,
     return G
 
 
-def advance_incremental(state: MomentVector, new_ticks, new_t_now: float, *,
-                        volume: MomentVector | None = None,
-                        t_prev: float | None = None) -> MomentVector:
-    """Shift a moment vector to a later reference time and absorb new ticks.
-
-    The age measure needs the volume moments taken at the same old t_now
-    (``volume=``) because ages of existing mass grow by the shift. For the
-    time measure, ``t_prev`` supplies the timestamp of the last tick already
-    absorbed so the first new tick gets its true interval; without it the
-    first new interval counts as zero.
-    """
-    delta = float(new_t_now) - state.t_now
-    if delta < 0:
-        raise InputError("new_t_now must not precede the state's t_now")
-    orders = state.order_count
-    rows = np.zeros((5, orders))
-    rows[_row(state.measure)] = state.values
-    if state.measure is MeasureKind.AGE_VOLUME:
-        if volume is None:
-            raise InputError("age advance needs the companion volume moments")
-        if volume.t_now != state.t_now or volume.measure is not MeasureKind.VOLUME_DV:
-            raise InputError("companion volume moments must share t_now")
-        rows[_ROW[MeasureKind.VOLUME_DV]] = volume.values
-    t, p, dV = tick_arrays(new_ticks)
-    if len(t) and (np.any(np.diff(t) < 0) or t[-1] > new_t_now):
-        raise InputError("new ticks must be nondecreasing and <= new_t_now")
-    # one engine step over a state holding this measure's row (and, for
-    # age, the volume row it couples to); its order count may be even
-    engine = MomentEngine(state.basis, (orders + 1) // 2, state.tau)
-    engine.orders = orders
-    engine.state = rows
-    engine.t_now = state.t_now
-    engine.last_t = None if t_prev is None else float(t_prev)
-    engine.tick_count = 1  # the state holds mass, so the step shifts it
-    engine.advance_to(new_t_now, t, p, dV, 0, len(t))
-    return MomentVector(basis=state.basis, tau=state.tau,
-                        t_now=float(new_t_now), measure=state.measure,
-                        values=engine.state[_ROW[state.measure]].copy())
-
-
 class MomentEngine:
     """Streaming accumulator for all five moment rows of one (basis, n, tau).
 
@@ -295,10 +254,7 @@ class MomentEngine:
     """
 
     def __init__(self, basis: BasisId, n: int, tau: float):
-        if not (isinstance(n, (int, np.integer))
-                or isinstance(n, float) and n.is_integer()):
-            raise InputError(f"model dimension n must be an integer, "
-                             f"got {n!r}")
+        n = _integer(n, "model dimension n")
         if n < 1:
             raise InputError("model dimension n must be >= 1")
         if n > max_model_order(basis):
@@ -307,7 +263,7 @@ class MomentEngine:
                 f"{max_model_order(basis)}")
         _check_tau(tau)
         self.basis = basis
-        self.n = int(n)
+        self.n = n
         self.tau = float(tau)
         self.orders = 2 * self.n - 1
         self.state = np.zeros((5, self.orders))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisId, linearization_table, matrix_from_moments
+from .basis import (BasisId, _integer, linearization_table,
+                    matrix_from_moments)
 from .errors import InputError
 from .measure import MeasureKind, MomentVector
 
@@ -32,6 +33,7 @@ class OperatorMatrix:
 
 
 def _assemble(moments: MomentVector, n: int) -> OperatorMatrix:
+    n = _integer(n, "n")
     table = linearization_table(moments.basis, n - 1)
     entries = matrix_from_moments(moments.values, n, table)
     return OperatorMatrix(n=n, entries=entries, measure=moments.measure,

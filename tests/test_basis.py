@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from psima import (BasisId, CapabilityError, InputError, MeasureKind,
-                   MomentEngine, Tick, evaluate_all, linearization,
+                   MomentEngine, Tick, evaluate_all, flow, linearization,
                    linearization_table, matrix_from_moments, max_model_order,
                    resample_full, run_over)
 from psima.basis import (chebyshev_doubling, continuum_gram,
@@ -175,6 +175,39 @@ def test_a_basis_that_is_not_a_basis_id_is_refused(call, bad):
     with pytest.raises(InputError, match=r"BasisId\.LAGUERRE, "
                        r"BasisId\.SHIFTED_LEGENDRE, BasisId\.CHEBYSHEV"):
         call(bad)
+
+
+_TWO_TICKS = [Tick(0.0, 100.0, 5.0), Tick(1.0, 101.0, 3.0)]
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda c: resample_full(_TWO_TICKS, 1.0, 8.0, BasisId.CHEBYSHEV, c,
+                             MeasureKind.AGE_VOLUME).values, "orders"),
+    (lambda c: evaluate_all(BasisId.SHIFTED_LEGENDRE, c, 0.5), "n"),
+    (lambda c: linearization(BasisId.LAGUERRE, c, 2), "j"),
+    (lambda c: linearization(BasisId.LAGUERRE, 2, c), "k"),
+    (lambda c: linearization_table(BasisId.LAGUERRE, c).coeffs, "n_max"),
+    (lambda c: matrix_from_moments(np.arange(1.0, 8.0), c,
+                                   linearization_table(BasisId.CHEBYSHEV, 3)),
+     "n"),
+    (lambda c: continuum_gram(BasisId.CHEBYSHEV, c), "n"),
+    (legendre_in_chebyshev, "n"),
+    (lambda c: flow(resample_full(_TWO_TICKS, 1.0, 8.0, BasisId.LAGUERRE, 5,
+                                  MeasureKind.VOLUME_DV), c).entries, "n"),
+], ids=["resample_full", "evaluate_all", "linearization_j",
+        "linearization_k", "linearization_table", "matrix_from_moments",
+        "continuum_gram", "legendre_in_chebyshev", "flow"])
+def test_counts_must_be_integers(call, name):
+    # one rule in basis._integer: integral values pass as int, anything
+    # else is an InputError naming the argument, never a TypeError;
+    # MomentEngine's n, read by the same rule, has its own tests
+    for bad in (2.5, float("nan"), "3"):
+        with pytest.raises(InputError, match=f"^{name} must be an integer"):
+            call(bad)
+    want = call(3)
+    for same in (3.0, np.int64(3)):
+        got = call(same)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)

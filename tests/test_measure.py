@@ -7,8 +7,8 @@ from numpy.polynomial import laguerre as nplag
 import oracles
 from conftest import make_stream, rel_err
 from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
-                   MeasureKind, MomentEngine, Tick, advance_incremental,
-                   omega, resample_full, run_over, tick_arrays, x_of_t)
+                   MeasureKind, MomentEngine, Tick, omega, resample_full,
+                   run_over, tick_arrays, x_of_t)
 from psima import _kernels
 from psima._kernels import (PRUNE_OMEGA, _table, accumulate_block,
                             shift_matrices, shift_matrix)
@@ -121,47 +121,46 @@ def test_resample_refuses_a_non_finite_t_now(t_now):
                                      (BasisId.LAGUERRE, 10)])
 @pytest.mark.parametrize("measure", ALL_MEASURES)
 def test_incremental_equals_resample(basis, n, measure):
+    # the engine absorbs the tape in two steps, the second one shifting
+    # the first 350 ticks' moments and absorbing the rest
     ticks = make_stream(23, 1000)
+    t, p, dV = tick_arrays(ticks)
     tau = 64.0
-    orders = 2 * n - 1
     cut = 350
-    state = resample_full(ticks[:cut], ticks[cut - 1].t, tau, basis, orders,
-                          measure)
-    vol = resample_full(ticks[:cut], ticks[cut - 1].t, tau, basis, orders,
-                        MeasureKind.VOLUME_DV)
-    state = advance_incremental(state, ticks[cut:], ticks[-1].t, volume=vol,
-                                t_prev=ticks[cut - 1].t)
-    ref = resample_full(ticks, ticks[-1].t, tau, basis, orders, measure)
+    eng = MomentEngine(basis, n, tau)
+    eng.advance_to(t[cut - 1], t, p, dV, 0, cut)
+    eng.advance_to(t[-1], t, p, dV, cut, len(t))
+    ref = resample_full(ticks, t[-1], tau, basis, 2 * n - 1, measure)
     tol = 1e-7 if basis is not BasisId.LAGUERRE else 1e-6
-    assert rel_err(state.values, ref.values) < tol
+    assert rel_err(eng.moments(measure).values, ref.values) < tol
+
+
+def _engine_at_end(ticks, basis, n, tau) -> MomentEngine:
+    t, p, dV = tick_arrays(ticks)
+    eng = MomentEngine(basis, n, tau)
+    eng.advance_to(t[-1], t, p, dV, 0, len(t))
+    return eng
 
 
 def test_incremental_pure_shift_decays_zeroth_moment_exactly():
     ticks = make_stream(2, 50)
     tau = 32.0
-    mom = resample_full(ticks, ticks[-1].t, tau, BasisId.SHIFTED_LEGENDRE, 5,
-                        MeasureKind.VOLUME_DV)
     for delta in (1.0, 17.3, 400.0):
-        shifted = advance_incremental(mom, [], mom.t_now + delta)
+        eng = _engine_at_end(ticks, BasisId.SHIFTED_LEGENDRE, 3, tau)
+        mom = eng.moments(MeasureKind.VOLUME_DV)
+        eng.advance_to(mom.t_now + delta)
+        shifted = eng.moments(MeasureKind.VOLUME_DV)
         assert shifted.values[0] == pytest.approx(
             np.exp(-delta / tau) * mom.values[0], rel=1e-14)
         assert shifted.t_now == mom.t_now + delta
 
 
-def test_incremental_age_needs_volume():
-    ticks = make_stream(2, 50)
-    mom = resample_full(ticks, ticks[-1].t, 32.0, BasisId.CHEBYSHEV, 5,
-                        MeasureKind.AGE_VOLUME)
-    with pytest.raises(InputError):
-        advance_incremental(mom, [], mom.t_now + 5.0)
-
-
 def test_incremental_rejects_time_regression():
-    ticks = make_stream(2, 50)
-    mom = resample_full(ticks, ticks[-1].t, 32.0, BasisId.CHEBYSHEV, 5,
-                        MeasureKind.VOLUME_DV)
+    eng = _engine_at_end(make_stream(2, 50), BasisId.CHEBYSHEV, 3, 32.0)
+    before = eng.raw_rows().copy()
     with pytest.raises(InputError):
-        advance_incremental(mom, [], mom.t_now - 1.0)
+        eng.advance_to(eng.t_now - 1.0)
+    assert np.array_equal(eng.raw_rows(), before)
 
 
 @settings(max_examples=25, deadline=None)
@@ -169,18 +168,14 @@ def test_incremental_rejects_time_regression():
 def test_incremental_split_invariance(cut, basis):
     # absorbing the tape in two chunks must equal one chunk
     ticks = make_stream(7, 400)
+    t, p, dV = tick_arrays(ticks)
     tau = 64.0
-    orders = 9
-    t_end = ticks[-1].t
-    vol_cut = resample_full(ticks[:cut], ticks[cut - 1].t, tau, basis,
-                            orders, MeasureKind.VOLUME_DV)
+    eng = MomentEngine(basis, 5, tau)
+    eng.advance_to(t[cut - 1], t, p, dV, 0, cut)
+    eng.advance_to(t[-1], t, p, dV, cut, len(t))
     for measure in ALL_MEASURES:
-        part = resample_full(ticks[:cut], ticks[cut - 1].t, tau, basis,
-                             orders, measure)
-        two = advance_incremental(part, ticks[cut:], t_end, volume=vol_cut,
-                                  t_prev=ticks[cut - 1].t)
-        one = resample_full(ticks, t_end, tau, basis, orders, measure)
-        assert rel_err(two.values, one.values) < 1e-11
+        one = resample_full(ticks, t[-1], tau, basis, 9, measure)
+        assert rel_err(eng.moments(measure).values, one.values) < 1e-11
 
 
 def test_scale_covariance():
@@ -293,15 +288,13 @@ def test_engine_takes_an_integral_dimension(n):
 
 
 def test_moment_decay_is_monotone_without_new_mass():
-    ticks = make_stream(3, 80)
-    mom = resample_full(ticks, ticks[-1].t, 32.0, BasisId.CHEBYSHEV, 1,
-                        MeasureKind.VOLUME_DV)
-    prev = mom.values[0]
-    cur = mom
+    eng = _engine_at_end(make_stream(3, 80), BasisId.CHEBYSHEV, 1, 32.0)
+    prev = eng.moments(MeasureKind.VOLUME_DV).values[0]
     for _ in range(20):
-        cur = advance_incremental(cur, [], cur.t_now + 7.0)
-        assert 0.0 < cur.values[0] < prev
-        prev = cur.values[0]
+        eng.advance_to(eng.t_now + 7.0)
+        cur = eng.moments(MeasureKind.VOLUME_DV).values[0]
+        assert 0.0 < cur < prev
+        prev = cur
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
