@@ -24,9 +24,9 @@ import numpy as np
 
 from ._kernels import shift_matrix
 from .basis import (BasisId, evaluate_all, legendre_in_chebyshev,
-                    linearization, linearization_table)
+                    linearization, linearization_table, matrix_from_moments)
 from .errors import InputError
-from .gev import solve_pencil
+from .gev import _probe_forms, _resolved, _ruled_out, solve_pencil
 from .indicators import evaluate_at, run_blocks
 from .ingest import parse_rows, serialize_csv
 from .measure import (MeasureKind, MomentEngine, Tick, resample_full,
@@ -412,6 +412,27 @@ def _check_quiet_spell() -> None:
         _require(held, basis, "effective_n held on no quiet spell")
 
 
+def _check_probe_certificate() -> None:
+    # the dimension walk rules a dimension out unprobed where the states
+    # of its last probe there prove the resolution gate fails (gev module
+    # docstring); on every pencil of the stream, the states of the one
+    # before never rule out a dimension the gate passes
+    t, p, dV = tick_arrays(_selftest_stream())
+    n = 12
+    for basis in BasisId:
+        engine = MomentEngine(basis, n, 256.0)
+        rows = engine.advance_steps(t, t, p, dV, 0, np.arange(1, len(t) + 1))
+        B = matrix_from_moments(rows[:, 0], n,
+                                linearization_table(basis, n - 1))
+        ruled = 0
+        for m in range(1, n + 1):
+            ok, _, X = _resolved(B[:, :m, :m], basis, m)
+            cut = _ruled_out(_probe_forms(X[:-1], basis, m), B[1:, :m, :m])
+            _require(not (cut & ok[1:]).any(), basis, m)
+            ruled += cut.sum()
+        _require(ruled, basis, "no dimension ruled out")
+
+
 def _check_synth_accounting() -> None:
     ticks = steady(1, 100, 10, 1000, 7)
     total = sum(tk.dV for tk in ticks)
@@ -430,6 +451,7 @@ def _cmd_selftest(args) -> int:
         ("chebyshev-doubling-vs-cosine", _check_chebyshev_doubling),
         ("quiet-spell-congruence", _check_quiet_spell),
         ("synth-volume-accounting", _check_synth_accounting),
+        ("probe-certificate-vs-gate", _check_probe_certificate),
     ]
     failed = 0
     for name, fn in checks:

@@ -37,6 +37,29 @@ start at n. It starts where the caller's last solve stopped: above that
 dimension it walks up only while the gate passes, and below it each
 dimension gates and solves in one step.
 
+On a stream the walk's probes mostly fail: the dimension above the last
+one resolved is still unresolved. A failure can be proved without the
+eigensolve. The eigenvalues of M are those of the pencil (B, G), G the
+ideal Gram, so by Courant-Fischer (Parlett, The Symmetric Eigenvalue
+Problem, ch. 1) every vector x bounds them through its Rayleigh quotient
+q = x^T B x / x^T G x: lambda_min <= q <= lambda_max. The walk keeps,
+per dimension, the bottom and top states x_lo and x_hi of the last
+pencil it probed there (rows 0 and -1 of that probe's V^T W0), which
+for a window a few ticks on sit near the new extreme states. Where
+q_lo <= 0, or q_hi >= KAPPA_CAP (1 + 1e-6) q_lo, the conditioning of M
+is proved over the cap and the pencil is ruled out unprobed; the walk
+keeps the states as two forms, so both tests are one product with the
+Gram's entries, giving q_lo and KAPPA_CAP (1 + 1e-6) q_lo - q_hi. The
+margin covers rounding. On a Gram the gate passes, lambda_max <=
+KAPPA_CAP lambda_min, so q_lo >= lambda_max / KAPPA_CAP and the second
+product is at least 1e-6 lambda_max, while the products err by about
+m^2 u KAPPA_CAP lambda_max (the ideal Grams are conditioned under 25
+at n = 12), and LAPACK's extreme eigenvalues by about m u lambda_max:
+3e-9 lambda_max at n = 12. So a pencil the states rule out also fails
+the gate: they decide how many eigensolves run, never which dimension
+solves, and without them the walk probes the same dimensions to the
+same result.
+
 No pivot test on the Gram's diagonal is needed beside it. With
 B = L M L^T, L = W0^-1 and G = L L^T the ideal Gram, each B_ii lies
 between the extreme eigenvalues of M times G_ii, so a Gram that passes
@@ -71,6 +94,11 @@ TIE_RTOL = 1e-10
 # solves keep normalization error around 1e-11, under the published
 # 1e-10 bound.
 KAPPA_CAP = 1e5
+# The walk's certificate rules a dimension out where the last probe's
+# states read a conditioning at or above this: KAPPA_CAP with a margin
+# far over the rounding of the forms and of the gate's extreme
+# eigenvalues (see the module docstring).
+_CERTIFIED_CAP = KAPPA_CAP * (1.0 + 1e-6)
 
 
 @dataclass(frozen=True)
@@ -156,7 +184,8 @@ def solve_pencil(A, B, tie_breaker=None) -> SpectralDecomposition:
 
 
 def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
-                start: int | None = None) -> PencilStack:
+                start: int | None = None,
+                probes: list | None = None) -> PencilStack:
     """solve_pencil over a stack of operator stacks, (K, k, n, n).
 
     ops[:, 0] holds the Grams B and ops[:, 1] the flow operators A of the
@@ -173,6 +202,14 @@ def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
     OperatorMatrix wrappers do for solve_pencil. While every pencil of
     the stack is still unsolved, a dimension reads the leading blocks of
     the whole stack as views; a live stack of one always does.
+
+    ``probes``, with a basis, is the caller's walk state: entry m holds
+    the bottom and top states of the last pencil the walk above the start
+    probed at m, as _probe_forms keeps them (None before the first), and
+    each probe there refreshes it. A pencil those states prove to fail
+    the resolution gate at m is ruled out without its eigensolve (see the
+    module docstring), so they decide how many eigensolves run, not the
+    result. Its length is n + 1.
     """
     K, k, n = ops.shape[0], ops.shape[1], ops.shape[-1]
     B = ops[:, 0]
@@ -183,16 +220,31 @@ def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
     forms = np.zeros((K, k))
     # reach: the largest dimension each unsolved pencil may still try, 0
     # once solved. Above the start it is walked up while the resolution
-    # gate passes.
+    # gate passes; top and least are its largest and smallest entries.
     h = min(max(n if start is None else int(start), 1), n)
     reach = np.full(K, h)
+    top, least = h, None
     up = np.arange(K)
+    certify = probes is not None and basis is not None
     for m in range(h + 1, n + 1):
-        up = up[_resolved(B[up, :m, :m], basis, m)[0]]
+        Bm = B[up, :m, :m]
+        P = probes[m] if certify else None
+        if P is not None:
+            keep = ~_ruled_out(P, Bm)
+            up, Bm = up[keep], Bm[keep]
+        if len(up):
+            ok, _, X = _resolved(Bm, basis, m)
+            if certify:
+                probes[m] = _probe_forms(X[-1], basis, m)
+            up = up[ok]
+        if least is None and len(up) < K:
+            least = m - 1
         if not len(up):
             break
-        reach[up] = m
-    m, least = int(reach.max(initial=0)), int(reach.min(initial=n))
+        reach[up] = top = m
+    if least is None:
+        least = top
+    m = top if K else 0
     while m:
         if m <= least:
             # every pencil is unsolved and reaches m
@@ -210,6 +262,8 @@ def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
         alphas[done, :m, :m] = al
         i_IH[done] = ih
         forms[done] = f
+        if passed is None and m <= least:
+            break  # the whole stack solved
         reach[done] = 0
         least = 0
         m = min(m - 1, int(reach.max()))
@@ -335,6 +389,30 @@ def _resolved(B: np.ndarray, basis: BasisId | None, m: int):
     ok &= (lo > 0.0) & (lo >= PIVOT_RTOL * hi if basis is None
                         else hi <= KAPPA_CAP * lo)
     return ok, lam, _swap(V) @ W0
+
+
+def _probe_forms(X: np.ndarray, basis: BasisId, m: int) -> np.ndarray:
+    """The certificate's forms from V^T W0 factors (..., m, m), (..., m^2, 2).
+
+    The bottom and top rows x_lo and x_hi, scaled to x^T G x = 1 in the
+    ideal Gram, give the columns vec(x_lo x_lo^T) and vec(KAPPA_CAP
+    (1 + 1e-6) x_lo x_lo^T - x_hi x_hi^T): a Gram's entries times them
+    are q_lo and KAPPA_CAP (1 + 1e-6) q_lo - q_hi.
+    """
+    x = X[..., [0, -1], :]
+    x = x / np.sqrt((x @ continuum_gram(basis, m) * x).sum(axis=-1))[..., None]
+    lo, hi = (x[..., i, :, None] * x[..., i, None, :] for i in (0, 1))
+    P = np.stack([lo, _CERTIFIED_CAP * lo - hi], axis=-1)
+    return P.reshape(P.shape[:-3] + (m * m, 2))
+
+
+def _ruled_out(P: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Where a stack of Grams (K, m, m) is proved to fail the resolution
+    gate by the forms P of _probe_forms, (m^2, 2) for all or (K, m^2, 2)
+    one per Gram: where q_lo <= 0 or q_hi >= KAPPA_CAP (1 + 1e-6) q_lo,
+    q_lo and q_hi bounding the extreme eigenvalues of M.
+    """
+    return (B.reshape(len(B), 1, -1) @ P <= 0.0).any(axis=(1, 2))
 
 
 @lru_cache(maxsize=None)

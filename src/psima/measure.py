@@ -274,6 +274,10 @@ class MomentEngine:
         # dimension the last solved reading resolved; the next reading's
         # dimension search starts here (indicators.evaluate_at, run_over)
         self.resolved_n = self.n
+        # per dimension m, the bottom and top states of the last pencil
+        # that search probed above its start (gev.solve_stack): they rule
+        # out most probes there without an eigensolve
+        self.probe_states: list = [None] * (self.n + 1)
 
     def advance_to(self, t_new: float, t: np.ndarray | None = None,
                    p: np.ndarray | None = None, dV: np.ndarray | None = None,

@@ -232,11 +232,12 @@ def test_selftest_passes_and_reports():
     r = run_cli("selftest")
     assert r.returncode == 0, r.stdout + r.stderr
     lines = r.stdout.splitlines()
-    assert sum(ln.startswith("ok ") for ln in lines) == 9
+    assert sum(ln.startswith("ok ") for ln in lines) == 10
     assert "ok shift-matrix-identity" in lines
     assert "ok chebyshev-doubling-vs-cosine" in lines
     assert "ok quiet-spell-congruence" in lines
-    assert lines[-1] == "all 9 checks passed"
+    assert "ok probe-certificate-vs-gate" in lines
+    assert lines[-1] == "all 10 checks passed"
 
 
 # a solver whose eigenvalues are off by 1e-6 relative, in a process that
@@ -268,8 +269,16 @@ def test_selftest_fails_under_python_O():
     assert r.returncode == 1, r.stdout + r.stderr
     lines = r.stdout.splitlines()
     assert lines[2].startswith("FAIL pencil-vs-determinant-bisection")
-    assert lines[-1] == "1 of 9 checks failed"
+    assert lines[-1] == "1 of 10 checks failed"
 
+
+def test_selftest_catches_probe_states_that_rule_out_too_much(monkeypatch):
+    # states that rule a Gram out from half the conditioning cap up
+    # would drop dimensions the resolution gate passes
+    from psima import cli, gev
+    monkeypatch.setattr(gev, "_CERTIFIED_CAP", 0.5 * gev.KAPPA_CAP)
+    with pytest.raises(AssertionError):
+        cli._check_probe_certificate()
 
 def test_log_env_smoke(tape):
     r = run_cli("run", "--input", str(tape), "--tau", "64",

@@ -4,8 +4,8 @@ import pytest
 import oracles
 from conftest import make_stream, regular_stream
 from psima import (BasisId, DegenerateStateError, EmptyWindowError,
-                   InputError, MeasureKind, MomentEngine, flow, gram, rayleigh,
-                   solve_pencil, tick_arrays)
+                   InputError, MeasureKind, MomentEngine, evaluate_at, flow,
+                   gram, rayleigh, solve_pencil, tick_arrays)
 from psima.basis import (continuum_gram, linearization_table,
                          matrix_from_moments, max_model_order)
 from psima import gev
@@ -401,6 +401,115 @@ def test_a_resolved_gram_has_a_clear_diagonal(benchmark_tapes, tape,
     # block, whose leading blocks only narrow the range
     g = np.diag(continuum_gram(basis, max_model_order(basis)))
     assert g.min() / g.max() / gev.KAPPA_CAP > gev.PIVOT_RTOL
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+@pytest.mark.parametrize("tape", ["criterion10", "live"])
+def test_probe_states_rule_out_only_dimensions_the_gate_fails(
+        benchmark_tapes, tape, basis):
+    # by Courant-Fischer any x bounds the extreme eigenvalues of the
+    # pencil (B, G) by its Rayleigh quotient, so wherever a pair of
+    # states rules a Gram out at m, the resolution gate fails it there.
+    # The pairs: the probe states of the pencil one tick before, as a
+    # stream's walk keeps them; seeded random vectors; and those states
+    # perturbed by the random vectors at three scales
+    B = _tape_ops(benchmark_tapes[tape], basis)[:, 0]
+    every = np.arange(8, len(B), 8)
+    rng = np.random.default_rng(41)
+    failed = ruled = 0
+    for m in range(2, B.shape[-1] + 1):
+        Bm = B[every, :m, :m]
+        ok = _resolved(Bm, basis, m)[0]
+        near = _resolved(B[every - 1, :m, :m], basis, m)[2][:, [0, -1]]
+        noise = rng.standard_normal(near.shape)
+        noise /= np.linalg.norm(noise, axis=-1, keepdims=True)
+        pairs = [near, noise] + [near + s * noise for s in (1e-6, 1e-3, 1e-1)]
+        for pair in pairs:
+            cut = gev._ruled_out(gev._probe_forms(pair, basis, m), Bm)
+            assert not (cut & ok).any(), m
+        failed += (~ok).sum()
+        ruled += gev._ruled_out(gev._probe_forms(near, basis, m), Bm).sum()
+    # and the neighbour's states prove nearly every failure
+    assert ruled >= 0.95 * failed > 0
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_probe_states_abstain_at_the_cap(benchmark_tapes, basis, side):
+    # a Gram whose conditioning against the ideal window sits 1e-7 under
+    # or over KAPPA_CAP: its own extreme states read that conditioning to
+    # rounding, inside the certificate's margin, so they rule it out on
+    # neither side of the cap, while the gate passes it only below
+    m = 8
+    B = _tape_ops(benchmark_tapes["live"], basis)[-1, 0, :m, :m]
+    L = np.linalg.cholesky(continuum_gram(basis, m))
+    V = (_resolved(B[None], basis, m)[2][0] @ L).T
+    lam = np.geomspace(1.0, gev.KAPPA_CAP * (1.0 + side * 1e-7), m)
+    B = (L @ V * lam) @ V.T @ L.T
+    ok, w, X = _resolved(B[None], basis, m)
+    assert ok[0] == (side < 0.0)
+    assert abs(w[0, -1] / w[0, 0] / gev.KAPPA_CAP - 1.0) < 2e-7
+    P = gev._probe_forms(X[0], basis, m)
+    assert not gev._ruled_out(P, B[None]).any()
+
+
+def _counted_probes(monkeypatch):
+    # the number of Grams of every resolution-gate call from here on
+    calls = []
+    resolved = gev._resolved
+
+    def counted(Bm, basis, m):
+        calls.append(len(Bm))
+        return resolved(Bm, basis, m)
+
+    monkeypatch.setattr(gev, "_resolved", counted)
+    return calls
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+@pytest.mark.parametrize("tape", ["criterion10", "live"])
+def test_probe_states_change_no_solution(benchmark_tapes, tape, basis,
+                                         monkeypatch):
+    # the states a walk keeps decide how many Grams the gate eigensolves,
+    # not what they give: in blocks of 256 and in a stream of stacks of
+    # one, each started as a caller starts it, a solve with the states
+    # equals the solve without them bit for bit
+    n = 12
+    ops = _tape_ops(benchmark_tapes[tape], basis, n)
+    calls = _counted_probes(monkeypatch)
+    for size, count in ((256, len(ops)), (1, 2000)):
+        probes, start = [None] * (n + 1), n
+        warm = cold = 0
+        for b0 in range(0, count, size):
+            sub = ops[b0:b0 + size]
+            del calls[:]
+            got = solve_stack(sub, basis, start, probes)
+            warm += sum(calls)
+            del calls[:]
+            ref = solve_stack(sub, basis, start)
+            cold += sum(calls)
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b.tobytes(), (size, b0)
+            start = int(ref.effective_n[-1]) or start
+        assert warm <= cold
+        if basis is BasisId.LAGUERRE:
+            assert warm < cold and any(x is not None for x in probes)
+
+
+def test_a_live_laguerre_reading_pays_about_one_gate_eigensolve(
+        benchmark_tapes, monkeypatch):
+    # the live_laguerre benchmark stream resolves 2-9 of its 12
+    # dimensions: without the engine's probe states each reading paid a
+    # second gate eigensolve above its dimension (2.005 a reading)
+    t, p, dV = benchmark_tapes["live"]
+    calls = _counted_probes(monkeypatch)
+    eng = MomentEngine(BasisId.LAGUERRE, 12, 256.0)
+    dims = set()
+    for k in range(len(t)):
+        eng.advance_to(t[k], t, p, dV, k, k + 1)
+        dims.add(evaluate_at(float(t[k]), eng).effective_n)
+    assert len(calls) <= 1.02 * len(t)
+    assert len(dims) > 6
 
 
 @pytest.mark.parametrize("entry", [0.0, -1.0, 1e-20])

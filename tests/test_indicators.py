@@ -148,6 +148,38 @@ def test_single_tick_history_degrades_gracefully():
     assert s.lambda_IH == s.lambda_IL == 0.0
 
 
+def test_a_window_with_no_time_mass_is_read_without_a_solve(monkeypatch):
+    # every tick at the first timestamp: the time row's order-0 moment is
+    # exactly 0, so the Gram is zero and no dimension can resolve; the
+    # reading falls back to the classical fields without entering the
+    # solve, live and in a block, where only the later samples are solved
+    from psima import indicators
+    solved = []
+    solve = indicators.solve_stack
+
+    def watched(ops, *args):
+        solved.append(ops[:, 0, 0, 0].tolist())
+        return solve(ops, *args)
+
+    monkeypatch.setattr(indicators, "solve_stack", watched)
+    ticks = [Tick(5.0, 101.0 + k, 10.0 * (k + 1)) for k in range(3)]
+    ticks += make_stream(7, 40, t0=6.0)
+    t, p, dV = tick_arrays(ticks)
+    eng = MomentEngine(BasisId.LAGUERRE, 8, 64.0)
+    live = []
+    for k in range(len(t)):
+        eng.advance_to(t[k], t, p, dV, k, k + 1)
+        live.append(evaluate_at(float(t[k]), eng))
+    assert len(solved) == len(t) - 3
+    for s in live[:3]:
+        assert s.effective_n == 0 and s.lambda_IH == s.lambda_IL == 0.0
+        assert s.P_IH == s.P_tau and s.T_IH == s.T_tau == 0.0
+    solved.clear()
+    samples, skipped = run_over(ticks, BasisId.LAGUERRE, 8, 64.0)
+    assert samples == live and skipped == 0
+    assert len(solved) == 1 and len(solved[0]) == len(t) - 3
+    assert all(b > 0.0 for b in solved[0])
+
 def test_run_over_per_tick_and_grid():
     ticks = make_stream(19, 500)
     samples, dropped = run_over(ticks, BasisId.SHIFTED_LEGENDRE, 8, 64.0)
