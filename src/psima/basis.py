@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -57,7 +56,7 @@ class BasisId(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "BasisId":
-        key = name.strip().lower()
+        key = name.strip().lower() if isinstance(name, str) else None
         for member in cls:
             if member.value == key:
                 return member
@@ -119,17 +118,18 @@ def evaluate_all(basis: BasisId, n: int, x):
     by their three-term recurrences.
 
     ``x`` may be a scalar or an ndarray; the result has shape (n,) + x.shape.
-    Domain is enforced: the linear coordinate must be <= 0, the exponential
-    one inside [0, 1]. Out-of-domain Laguerre arguments explode
-    exponentially and have historically produced garbage matrices that
-    *look* plausible, hence the hard error.
+    Domain is enforced: the linear coordinate must be finite and <= 0, the
+    exponential one inside [0, 1]; nan is refused. Out-of-domain Laguerre
+    arguments explode exponentially and have historically produced garbage
+    matrices that *look* plausible, hence the hard error.
     """
     n = _check_order_count(basis, n, "n")
     xa = np.asarray(x, dtype=np.float64)
+    lo, hi = (xa.min(), xa.max()) if xa.size else (0.0, 0.0)
 
     if basis is BasisId.LAGUERRE:
-        if np.any(xa > 0.0):
-            raise InputError("laguerre coordinate must be <= 0 "
+        if not -np.inf < lo <= hi <= 0.0:
+            raise InputError("laguerre coordinate must be finite and <= 0 "
                              "(x = (t - t_now)/tau with t <= t_now)")
         y = -xa
         out = np.empty((n,) + xa.shape, dtype=np.float64)
@@ -140,7 +140,7 @@ def evaluate_all(basis: BasisId, n: int, x):
             out[m + 1] = ((2 * m + 1 - y) * out[m] - m * out[m - 1]) / (m + 1)
         return out
 
-    if np.any((xa < 0.0) | (xa > 1.0)):
+    if not 0.0 <= lo <= hi <= 1.0:
         raise InputError("exponential coordinate must lie in [0, 1] "
                          "(x = exp((t - t_now)/tau) with t <= t_now)")
     u = 2.0 * xa - 1.0
@@ -240,29 +240,20 @@ def _legendre_row(j: int, k: int) -> np.ndarray:
     return out
 
 
-def _laguerre_monomial(m: int) -> list[Fraction]:
-    # L_m(y) = sum_i (-1)^i C(m, i) y^i / i!, exact.
-    return [Fraction((-1) ** i * comb(m, i), factorial(i)) for i in range(m + 1)]
-
-
-def _laguerre_row_exact(cj: list[Fraction], ck: list[Fraction]) -> np.ndarray:
-    # Multiply in the monomial basis, then expand each power with
-    # y^i = i! * sum_m (-1)^m C(i, m) L_m(y). Exact rational arithmetic:
-    # the float64 route loses ~10 digits to cancellation by order 40.
-    deg = len(cj) + len(ck) - 2
-    prod = [Fraction(0)] * (deg + 1)
-    for a, ca in enumerate(cj):
-        if ca:
-            for b, cb in enumerate(ck):
-                if cb:
-                    prod[a + b] += ca * cb
-    out = [Fraction(0)] * (deg + 1)
-    for i, ci in enumerate(prod):
-        if ci:
-            fi = ci * factorial(i)
-            for m in range(i + 1):
-                out[m] += fi * ((-1) ** m * comb(i, m))
-    return np.array([float(c) for c in out])
+def _laguerre_row(j: int, k: int) -> np.ndarray:
+    # With L_j(y) = sum_a (-1)^a C(j, a) y^a / a! and
+    # y^i = i! sum_m (-1)^m C(i, m) L_m(y), every coefficient is an integer:
+    #   c_m = (-1)^m sum_{i >= m} C(i, m) s_i,
+    #   s_i = (-1)^i sum_{a+b=i} C(j, a) C(k, b) C(i, a).
+    # Summed in Python integers and rounded once: the float64 route loses
+    # ~10 digits to cancellation by order 40.
+    deg = j + k
+    s = [(-1) ** i * sum(comb(j, a) * comb(k, i - a) * comb(i, a)
+                         for a in range(max(0, i - k), min(i, j) + 1))
+         for i in range(deg + 1)]
+    return np.array([float((-1) ** m * sum(comb(i, m) * s[i]
+                                           for i in range(m, deg + 1)))
+                     for m in range(deg + 1)])
 
 
 def linearization(basis: BasisId, j: int, k: int) -> np.ndarray:
@@ -276,7 +267,7 @@ def linearization(basis: BasisId, j: int, k: int) -> np.ndarray:
         return _chebyshev_row(j, k)
     if basis is BasisId.SHIFTED_LEGENDRE:
         return _legendre_row(j, k)
-    return _laguerre_row_exact(_laguerre_monomial(j), _laguerre_monomial(k))
+    return _laguerre_row(j, k)
 
 
 @dataclass(frozen=True)
@@ -292,10 +283,18 @@ class LinearizationTable:
         """F (2n-1, n*n), read-only and cached: F[m, j*n + k] = c_m^{jk}.
 
         A moment vector v of length 2n-1 assembles as v @ F, the n-by-n
-        operator flattened row by row.
+        operator flattened row by row. ``n`` runs over 1..n_max+1; it is
+        checked on a cache miss only, so a hit costs one dict lookup.
         """
         F = self._flats.get(n)
         if F is None:
+            n = _integer(n, "n")
+            if n < 1:
+                raise InputError("matrix dimension must be >= 1")
+            if n - 1 > self.n_max:
+                raise CapabilityError(
+                    f"matrix dimension {n} needs table n_max >= {n - 1}, "
+                    f"have {self.n_max}")
             need = 2 * n - 1
             F = np.ascontiguousarray(
                 self.coeffs[:n, :n, :need].reshape(n * n, need).T)
@@ -335,16 +334,11 @@ def matrix_from_moments(moments, n: int, table: LinearizationTable) -> np.ndarra
     """
     values = np.asarray(getattr(moments, "values", moments), dtype=np.float64)
     n = _integer(n, "n")
-    if n < 1:
-        raise InputError("matrix dimension must be >= 1")
-    if n - 1 > table.n_max:
-        raise CapabilityError(
-            f"matrix dimension {n} needs table n_max >= {n - 1}, "
-            f"have {table.n_max}")
+    F = table.flat(n)
     need = 2 * n - 1
     if values.shape[-1] < need:
         raise InputError(f"moment vector too short: {values.shape[-1]} < {need}")
-    out = values[..., None, :need] @ table.flat(n)
+    out = values[..., None, :need] @ F
     return out.reshape(values.shape[:-1] + (n, n))
 
 

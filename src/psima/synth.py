@@ -9,8 +9,10 @@ any implementation language reproduces identical tapes bit for bit.
 
 from __future__ import annotations
 
+from itertools import count
 from math import isfinite, log
 
+from .basis import _integer
 from .errors import InputError
 from .measure import Tick
 
@@ -23,7 +25,11 @@ _MIX2 = 0x94D049BB133111EB
 
 
 def uniform01(seed: int, counter: int) -> float:
-    """splitmix64 output for (seed, counter), mapped to [0, 1)."""
+    """splitmix64 output for integral (seed, counter), mapped to [0, 1)."""
+    return _splitmix(_integer(seed, "seed"), _integer(counter, "counter"))
+
+
+def _splitmix(seed: int, counter: int) -> float:
     z = (seed + (counter + 1) * _GAMMA) & _MASK
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
@@ -46,16 +52,14 @@ def steady(rate: float, flow: float, price: float, duration: float,
     final gap (one trade's worth).
     """
     _check_finite(rate=rate, flow=flow, price=price, duration=duration)
+    seed = _integer(seed, "seed")
     if rate <= 0 or flow < 0 or price <= 0 or duration <= 0:
         raise InputError("steady needs positive rate, price, duration "
                          "and nonnegative flow")
     ticks: list[Tick] = []
-    t = 0.0
-    prev = 0.0
-    counter = 0
-    while True:
-        gap = -log(1.0 - uniform01(seed, counter)) / rate
-        counter += 1
+    t = prev = 0.0
+    for counter in count():
+        gap = -log(1.0 - _splitmix(seed, counter)) / rate
         t += gap
         if t >= duration:
             break

@@ -8,6 +8,7 @@ sums from plain python loops, eigenvalues from determinant sign scans.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -46,6 +47,28 @@ def linearization_row(basis: BasisId, j: int, k: int) -> np.ndarray:
     out = np.zeros(j + k + 1)
     out[:len(prod)] = prod
     return out
+
+
+def laguerre_row_exact(j: int, k: int) -> np.ndarray:
+    """c_m^{jk} of L_j L_k in exact rationals, each rounded once to float.
+
+    Multiplies the monomial expansions L_j(y) = sum_i (-1)^i C(j, i) y^i / i!
+    and re-expands each power with y^i = i! sum_m (-1)^m C(i, m) L_m(y),
+    every step a Fraction.
+    """
+    def monomial(m):
+        return [Fraction((-1) ** i * math.comb(m, i), math.factorial(i))
+                for i in range(m + 1)]
+
+    prod = [Fraction(0)] * (j + k + 1)
+    for a, ca in enumerate(monomial(j)):
+        for b, cb in enumerate(monomial(k)):
+            prod[a + b] += ca * cb
+    out = [Fraction(0)] * (j + k + 1)
+    for i, ci in enumerate(prod):
+        for m in range(i + 1):
+            out[m] += ci * math.factorial(i) * (-1) ** m * math.comb(i, m)
+    return np.array([float(c) for c in out])
 
 
 def x_coord(basis: BasisId, t, t_now: float, tau: float):

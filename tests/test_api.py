@@ -5,6 +5,8 @@ import importlib
 import io
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,16 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     for name in getattr(mod, "__all__", ()):
         assert hasattr(mod, name), f"{module}.__all__ names {name!r}"
+
+
+def test_import_loads_no_exact_arithmetic_modules():
+    # a fresh interpreter: the Laguerre table is built in Python integers,
+    # so importing psima need not pay for fractions or decimal
+    code = ("import sys, psima; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def _library_blocks() -> list[str]:

@@ -134,6 +134,23 @@ def test_scalar_and_array_shapes():
     assert q.shape == (5, 2, 7)
 
 
+@pytest.mark.parametrize("basis", ALL_BASES)
+def test_non_finite_coordinates_are_refused(basis):
+    inside = -0.5 if basis is BasisId.LAGUERRE else 0.5
+    bad = [np.nan, np.array([inside, np.nan]), np.inf, np.array([np.inf])]
+    if basis is BasisId.LAGUERRE:
+        bad += [-np.inf, np.array([inside, -np.inf])]
+    for x in bad:
+        with pytest.raises(InputError, match="coordinate must"):
+            evaluate_all(basis, 3, x)
+    # valid coordinates keep their values; an empty array stays empty
+    xs = DOMAIN_GRID[basis]
+    assert evaluate_all(basis, 4, xs[:0]).shape == (4, 0)
+    for k in (0, 17, 40):
+        assert evaluate_all(basis, 4, xs[k]).tobytes() == \
+            evaluate_all(basis, 4, xs)[:, k].tobytes()
+
+
 def test_domain_enforcement():
     with pytest.raises(InputError):
         evaluate_all(BasisId.LAGUERRE, 4, 0.5)
@@ -155,6 +172,14 @@ def test_order_capability_limits():
         linearization_table(BasisId.SHIFTED_LEGENDRE, 75)
     with pytest.raises(InputError):
         evaluate_all(BasisId.CHEBYSHEV, 0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [None, 3, BasisId.LAGUERRE, b"legendre"])
+def test_parse_refuses_a_name_that_is_not_a_string(bad):
+    with pytest.raises(InputError, match=r"expected one of \['laguerre', "
+                       r"'legendre', 'chebyshev'\]"):
+        BasisId.parse(bad)
+    assert BasisId.parse(" Legendre ") is BasisId.SHIFTED_LEGENDRE
 
 
 @pytest.mark.parametrize("bad", ["legendre", None, 3])
@@ -235,8 +260,8 @@ def test_product_identity_full_table(basis):
     if basis is BasisId.LAGUERRE:
         # Laguerre values reach ~1e15 at the window's far edge, so the
         # float64 sum cancels: measured error is <= 4.1e-16 of the
-        # absolute term mass (the table itself is exact rational
-        # arithmetic, see the series-multiplication test). Assert the
+        # absolute term mass (the table itself is exact integer
+        # arithmetic, see the exact-rational test). Assert the
         # plain tolerance where cancellation cannot bite (j+k <= 14,
         # measured clean) and a summation-noise-aware bound everywhere.
         mass = np.einsum("jkm,mp->jkp", np.abs(tbl.coeffs), np.abs(Q))
@@ -245,6 +270,25 @@ def test_product_identity_full_table(basis):
         assert np.all(err[low] <= tol[low])
     else:
         assert np.all(err <= tol)
+
+
+def test_laguerre_rows_are_the_exact_rationals_rounded_once():
+    # every coefficient of L_j L_k is an integer, summed exactly and
+    # rounded once, so rows and tables equal the Fraction reference's bits
+    rows = {}
+    for j in range(25):
+        for k in range(j, 25):
+            rows[j, k] = rows[k, j] = oracles.laguerre_row_exact(j, k)
+    for (j, k), want in rows.items():
+        assert linearization(BasisId.LAGUERRE, j, k).tobytes() == \
+            want.tobytes(), (j, k)
+    for n_max in (11, 24):
+        want = np.zeros((n_max + 1, n_max + 1, 2 * n_max + 1))
+        for j in range(n_max + 1):
+            for k in range(n_max + 1):
+                want[j, k, :j + k + 1] = rows[j, k]
+        got = linearization_table(BasisId.LAGUERRE, n_max).coeffs
+        assert got.tobytes() == want.tobytes(), n_max
 
 
 def test_table_symmetry_and_row_consistency():
@@ -308,6 +352,22 @@ def test_matrix_from_moments_validation():
         matrix_from_moments(np.ones(13), 7, tbl)  # table too small
     M = matrix_from_moments(np.ones(9), 5, tbl)
     assert M.shape == (5, 5)
+
+
+def test_flat_checks_the_dimension_on_a_miss():
+    table = linearization_table(BasisId.LAGUERRE, 3)
+    with pytest.raises(CapabilityError, match="have 3$"):
+        table.flat(6)
+    for bad in (0, -1):
+        with pytest.raises(InputError, match="must be >= 1"):
+            table.flat(bad)
+    with pytest.raises(InputError, match="^n must be an integer"):
+        table.flat(2.5)
+    F = table.flat(4)
+    assert F.shape == (7, 16)
+    assert table.flat(np.int64(4)) is F and table.flat(4.0) is F
+    other = linearization_table(BasisId.CHEBYSHEV, 3)
+    assert other.flat(4.0) is other.flat(4) is other.flat(np.int64(4))
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from psima import InputError
@@ -59,6 +60,21 @@ def test_steady_rejects_bad_arguments():
         args.update(kw)
         with pytest.raises(InputError):
             steady(**args)
+
+
+def test_integral_seeds_pass_as_ints():
+    want = steady(1, 100, 100, 10, 3)
+    assert len(want) > 3
+    for same in (np.int64(3), 3.0):
+        assert steady(1, 100, 100, 10, same) == want
+        assert uniform01(same, same) == uniform01(3, 3)
+    for bad in (1.5, "3", float("nan")):
+        with pytest.raises(InputError, match="^seed must be an integer"):
+            steady(1, 100, 100, 10, bad)
+        with pytest.raises(InputError, match="^seed must be an integer"):
+            uniform01(bad, 0)
+        with pytest.raises(InputError, match="^counter must be an integer"):
+            uniform01(0, bad)
 
 
 def test_spike_magnitude_one_is_identity():
