@@ -20,9 +20,8 @@ from .basis import (BasisId, LinearizationTable, evaluate_all, linearization,
 from .errors import (CapabilityError, DegenerateStateError, EmptyWindowError,
                      InputError, NoVolumeError, PsimaError)
 from .gev import SpectralDecomposition, WaveFunction, rayleigh, solve_pencil
-from .indicators import (IndicatorSample, age_IH, age_tau, ema_price,
-                         evaluate_at, f_psi, phi_average, price_IH,
-                         run_blocks, run_over)
+from .indicators import (IndicatorSample, age_tau, ema_price, evaluate_at,
+                         f_psi, run_blocks, run_over)
 from .ingest import parse_csv, serialize_csv
 from .measure import (MeasureKind, MomentEngine, MomentVector, Tick, omega,
                       resample_full, tick_arrays, x_of_t)
@@ -40,8 +39,8 @@ __all__ = [
     "resample_full", "tick_arrays",
     "OperatorMatrix", "gram", "flow", "weighted",
     "WaveFunction", "SpectralDecomposition", "solve_pencil", "rayleigh",
-    "IndicatorSample", "ema_price", "age_tau", "f_psi", "price_IH", "age_IH",
-    "phi_average", "evaluate_at", "run_over", "run_blocks",
+    "IndicatorSample", "ema_price", "age_tau", "f_psi", "evaluate_at",
+    "run_over", "run_blocks",
     "parse_csv", "serialize_csv",
     "steady", "spike", "uniform01",
     "__version__",

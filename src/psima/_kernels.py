@@ -8,8 +8,8 @@ Moment state is a (5, M) array whose rows are the window moments
     3: <Q_m a I>    against omega * a dV,   a = t_now - t  (age)
     4: <Q_m p^2 I>  against omega * p^2 dV  (variance column)
 
-with M = 2n-1 polynomial orders. Ticks older than ~36.8 tau carry
-omega < 1e-16 and are skipped.
+with M = 2n-1 polynomial orders. A tick older than PRUNE_HORIZON tau
+(36.84 tau, where omega reaches 1e-16) is pruned, by this age test alone.
 
 shift_matrices works on one matrix per gap along the leading axis, so a
 whole block of samples costs one call; shift_matrix builds a single one,
@@ -40,35 +40,35 @@ a cached lag-index matrix.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import BasisId, evaluate_all
 
-PRUNE_OMEGA = 1e-16
+PRUNE_HORIZON = -math.log(1e-16)
 
 
 def accumulate_block(t, p, dV, i0, i1, t_prev0, t_now, tau, basis, out):
     """Add ticks i0..i1-1, weighted at reference time t_now, to ``out``.
 
     ``t_prev0`` is the time of the tick before i0, which sets the first
-    tick's dt. Ticks past the prune horizon add nothing.
+    tick's dt. Ticks older than PRUNE_HORIZON * tau add nothing.
     """
     if i1 <= i0:
         return
     tt = t[i0:i1]
     age = t_now - tt
-    w = np.exp(-age / tau)
     dt = np.empty(i1 - i0)
     dt[0] = tt[0] - t_prev0
     if i1 - i0 > 1:
         dt[1:] = tt[1:] - tt[:-1]
-    keep = w >= PRUNE_OMEGA
+    keep = age <= PRUNE_HORIZON * tau
     if not np.any(keep):
         return
     agek = age[keep]
-    wk = w[keep]
+    wk = np.exp(-agek / tau)
     pk = p[i0:i1][keep]
     dVk = dV[i0:i1][keep]
     x = -agek / tau if basis is BasisId.LAGUERRE else wk
@@ -98,17 +98,18 @@ def _lags(orders):
 def shift_matrix(basis, d, orders):
     """G with Q_m(x') = sum_i G[m,i] Q_i(x) after the window ages by d*tau.
 
-    Laguerre's g is formed on Python floats; the exponential bases take
-    shift_matrices on a stack of one.
+    Laguerre's g is formed on a Python float, or by the same operations
+    on a 1-d array of gaps, giving shift_matrices' stack with the same
+    bits. The exponential bases take shift_matrices on a stack of one.
     """
     if basis is not BasisId.LAGUERRE:
         return shift_matrices(basis, [d], orders)[0]
-    g = [1.0] + [0.0] * orders
-    a, b = 1.0, 0.0              # L^{(1)}_{j-1}(d), L^{(1)}_{j-2}(d)
+    a, b = d * 0.0 + 1.0, d * 0.0  # L^{(1)}_{j-1}(d), L^{(1)}_{j-2}(d)
+    g = [a]
     for j in range(1, orders):
-        g[j] = -(d / j) * a
+        g.append(-(d / j) * a)
         a, b = ((2 * j - d) * a - j * b) / j, a
-    return np.array(g)[_lags(orders)]
+    return np.array(g + [d * 0.0]).T.take(_lags(orders), axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -143,8 +144,8 @@ def _table(basis, orders):
 def shift_matrices(basis, d, orders):
     """Stack of shift_matrix(basis, d[k], orders), one per gap.
 
-    Laguerre gathers the closed-form g of every gap, with the scalar
-    builder's operations. An exponential basis takes T_k(u) =
+    Laguerre runs shift_matrix's closed form on the array of gaps. An
+    exponential basis takes T_k(u) =
     cos(k arccos u) at u = 2 exp(-d) - 1, in [-1, 1] for every d >= 0,
     and G = T C with the cached table C, one product per gap. Row m stops
     at column m, and row 0 is exactly e_0 (T_0 = 1), so every order-0
@@ -152,13 +153,7 @@ def shift_matrices(basis, d, orders):
     """
     d = np.asarray(d, dtype=np.float64)
     if basis is BasisId.LAGUERRE:
-        g = np.zeros((len(d), orders + 1))
-        g[:, 0] = 1.0
-        a, b = np.ones(len(d)), np.zeros(len(d))
-        for j in range(1, orders):
-            g[:, j] = -(d / j) * a
-            a, b = ((2 * j - d) * a - j * b) / j, a
-        return g[:, _lags(orders)]
+        return shift_matrix(basis, d, orders)
     k, C = _table(basis, orders)
     T = np.cos(np.arccos(2.0 * np.exp(-d) - 1.0)[:, None] * k)
     return np.matmul(T[:, None, :], C).reshape(len(d), orders, orders)

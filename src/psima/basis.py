@@ -99,6 +99,15 @@ def _integer(value, name: str) -> int:
     raise InputError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float, or an InputError naming the argument ``name``:
+    real scalars pass, nan and inf among them, but not strings, None,
+    complex numbers or arrays."""
+    if isinstance(value, (float, int, np.floating, np.integer)):
+        return float(value)
+    raise InputError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_order_count(basis: BasisId, count, name: str) -> int:
     # count = number of polynomials requested, returned as an int; moment
     # vectors may need up to order 2*(n-1), hence the factor of two over
@@ -284,9 +293,13 @@ class LinearizationTable:
 
         A moment vector v of length 2n-1 assembles as v @ F, the n-by-n
         operator flattened row by row. ``n`` runs over 1..n_max+1; it is
-        checked on a cache miss only, so a hit costs one dict lookup.
+        checked on a cache miss only, so a hit costs one dict lookup; an
+        unhashable ``n`` misses.
         """
-        F = self._flats.get(n)
+        try:
+            F = self._flats.get(n)
+        except TypeError:
+            F = None
         if F is None:
             n = _integer(n, "n")
             if n < 1:

@@ -15,10 +15,12 @@ log verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
 from array import array
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .basis import (BasisId, evaluate_all, legendre_in_chebyshev,
                     linearization, linearization_table, matrix_from_moments)
 from .errors import InputError
 from .gev import _probe_forms, _resolved, _ruled_out, solve_pencil
-from .indicators import evaluate_at, run_blocks
+from .indicators import IndicatorSample, evaluate_at, run_blocks
 from .ingest import parse_rows, serialize_csv
 from .measure import (MeasureKind, MomentEngine, Tick, resample_full,
                       tick_arrays)
@@ -38,6 +40,7 @@ log = logging.getLogger("psima")
 
 _COLUMNS = ["t", "p_last", "P_tau", "P_IH", "lambda_IH", "lambda_IL",
             "T_IH", "T_tau", "P_aver", "effective_n"]
+_FIELDS = [f.name for f in dataclasses.fields(IndicatorSample)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,10 +106,6 @@ def main(argv=None) -> int:
         return 2
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _cmd_run(args) -> int:
     if args.input == "-":
         source = sys.stdin
@@ -152,22 +151,16 @@ def _write_rows(fh, blocks, std: bool) -> tuple[int, int]:
     nothing.
     """
     columns = _COLUMNS + (["p_std"] if std else [])
+    # IndicatorSample's fields run in column order, p_std last
+    values = attrgetter(*_FIELDS[:len(columns)])
+    line = "%.17g," * 9 + "%d" + (",%.17g" if std else "") + "\n"
     rows = degenerate = 0
     for samples, skipped in blocks:
         degenerate += skipped
         if samples and not rows:
             fh.write(",".join(columns) + "\n")
         rows += len(samples)
-        lines = []
-        for s in samples:
-            row = [_fmt(s.t_now), _fmt(s.p_last), _fmt(s.P_tau),
-                   _fmt(s.P_IH), _fmt(s.lambda_IH), _fmt(s.lambda_IL),
-                   _fmt(s.T_IH), _fmt(s.T_tau), _fmt(s.P_aver),
-                   str(s.effective_n)]
-            if std:
-                row.append(_fmt(s.p_std))
-            lines.append(",".join(row) + "\n")
-        fh.write("".join(lines))
+        fh.write("".join([line % values(s) for s in samples]))
     return rows, degenerate
 
 

@@ -30,9 +30,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .basis import BasisId, linearization_table, matrix_from_moments
+from .basis import BasisId, _real, linearization_table, matrix_from_moments
 from .errors import DegenerateStateError, InputError, NoVolumeError
-from .gev import SpectralDecomposition, WaveFunction, rayleigh, solve_stack
+from .gev import WaveFunction, rayleigh, solve_stack
 from .measure import PRUNE_HORIZON, MomentEngine, tick_arrays
 
 __all__ = [
@@ -40,9 +40,6 @@ __all__ = [
     "ema_price",
     "age_tau",
     "f_psi",
-    "price_IH",
-    "age_IH",
-    "phi_average",
     "evaluate_at",
     "run_over",
     "run_blocks",
@@ -87,20 +84,6 @@ def age_tau(moments_age, moments_volume) -> float:
 def f_psi(psi: WaveFunction, M_num, M_den) -> float:
     """<psi|f|psi>/<psi|I|psi> as a ratio of quadratic forms."""
     return rayleigh(psi, M_num, M_den)
-
-
-def price_IH(dec: SpectralDecomposition, M_pI, M_I) -> float:
-    return f_psi(dec.states[dec.i_IH], M_pI, M_I)
-
-
-def age_IH(dec: SpectralDecomposition, M_ageI, M_I) -> float:
-    return f_psi(dec.states[dec.i_IH], M_ageI, M_I)
-
-
-def phi_average(dec: SpectralDecomposition, M_pI, M_I) -> float:
-    # The weight-function moving average; algebraically the same ratio as
-    # price_IH, kept as its own output field.
-    return price_IH(dec, M_pI, M_I)
 
 
 # Samples per batched block of run_over: bounds the shift-matrix, moment
@@ -259,12 +242,11 @@ def run_blocks(ticks, basis: BasisId, n: int, tau: float,
     t, p, dV = tick_arrays(ticks)
     if len(t) == 0:
         raise InputError("empty tick stream")
-    if (t[1:] < t[:-1]).any():
-        raise InputError("tick times must be nondecreasing")
     engine = MomentEngine(basis, n, tau)
     first, last = float(t[0]), float(t[-1])
     count = len(t)
     if grid is not None:
+        grid = _real(grid, "grid")
         if not (isfinite(grid) and grid > 0 and last + grid > last):
             raise InputError(f"grid step must be finite, positive and "
                              f"advance the clock, got {grid!r}")

@@ -43,7 +43,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .basis import BasisId, _check_order_count, _integer, max_model_order
+from ._kernels import PRUNE_HORIZON
+from .basis import (BasisId, _check_order_count, _integer, _real,
+                    max_model_order)
 from .errors import CapabilityError, EmptyWindowError, InputError
 
 __all__ = [
@@ -57,9 +59,6 @@ __all__ = [
     "tick_arrays",
     "PRUNE_HORIZON",
 ]
-
-# Ticks older than this many tau carry omega < 1e-16 and are dropped.
-PRUNE_HORIZON = -np.log(_kernels.PRUNE_OMEGA)
 
 
 class Tick(NamedTuple):
@@ -102,6 +101,7 @@ def tick_arrays(ticks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A tuple is read as columns only where all three items are numpy arrays;
     any other sequence, a tuple of three Ticks among them, is read as rows.
+    Ticks are checked as an engine checks them, time order included.
     """
     try:
         if (isinstance(ticks, tuple) and len(ticks) == 3
@@ -127,6 +127,7 @@ _SHAPE = ("ticks must be rows of exactly 3 numbers (t, p, dV) or three "
           "1-d columns")
 _NOT_FINITE = "tick times, prices and shares must be finite"
 _OVERFLOW = "price * price * shares of a tick must be finite"
+_UNSORTED = "tick times must be nondecreasing"
 
 
 def _overflow_at(ts: float) -> str:
@@ -143,14 +144,16 @@ def _check_finite(*columns: np.ndarray) -> None:
 _CHECK_SLICE = 1 << 16
 
 
-def _check_ticks(t: np.ndarray, p: np.ndarray, dV: np.ndarray) -> None:
-    """Refuse ticks with a non-finite field or a non-finite p^2 dV.
+def _check_ticks(t: np.ndarray, p: np.ndarray, dV: np.ndarray,
+                 last_t: float | None = None) -> None:
+    """Refuse ticks with a non-finite field, a non-finite p^2 dV, or a
+    time before the tick ahead of it or, for the first, before ``last_t``.
 
     p^2 dV is the largest term a tick adds to the moment rows; where it
     overflows, the rows and every reading after them would be inf or nan.
-    Both checks run over fixed slices of the columns, every slice's
-    fields before any p^2 dV, so a tape with both faults gets the same
-    refusal as from one check over the whole tape.
+    The checks run over fixed slices of the columns, all fields first,
+    then all p^2 dV, then the order, so a tape with several faults gets
+    the refusal of one check over the whole tape.
     """
     cuts = range(0, len(t), _CHECK_SLICE)
     for a in cuts:
@@ -161,6 +164,12 @@ def _check_ticks(t: np.ndarray, p: np.ndarray, dV: np.ndarray) -> None:
             b = a + _CHECK_SLICE
             if not np.isfinite(p[a:b] * p[a:b] * dV[a:b]).all():
                 raise InputError(_OVERFLOW)
+    prev = -np.inf if last_t is None else last_t
+    for a in cuts:
+        ts = t[a:a + _CHECK_SLICE]
+        if ts[0] < prev or (ts[1:] < ts[:-1]).any():
+            raise InputError(_UNSORTED)
+        prev = ts[-1]
 
 
 def _check_range(t, p, dV, a: int, b: int) -> None:
@@ -177,14 +186,16 @@ def _check_range(t, p, dV, a: int, b: int) -> None:
                          f"{len(t)} ticks")
 
 
-def _check_tau(tau: float) -> None:
+def _check_tau(tau) -> float:
+    tau = _real(tau, "tau")
     if not (isfinite(tau) and tau > 0):
         raise InputError(f"tau must be finite and positive, got {tau!r}")
+    return tau
 
 
 def x_of_t(basis: BasisId, t, t_now: float, tau: float):
     """Window coordinate of a timestamp; linear for laguerre, else exponential."""
-    _check_tau(tau)
+    tau = _check_tau(tau)
     t = np.asarray(t, dtype=np.float64)
     if basis is BasisId.LAGUERRE:
         return (t - t_now) / tau
@@ -192,7 +203,7 @@ def x_of_t(basis: BasisId, t, t_now: float, tau: float):
 
 
 def omega(t, t_now: float, tau: float):
-    _check_tau(tau)
+    tau = _check_tau(tau)
     return np.exp(-(t_now - np.asarray(t, dtype=np.float64)) / tau)
 
 
@@ -210,23 +221,22 @@ def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
 
     Only ticks with t <= t_now participate; older ticks than the pruning
     horizon contribute nothing. Raises EmptyWindowError when no tick lies
-    at or before t_now, and InputError when t_now is not finite or
-    ``measure`` is not a MeasureKind.
+    at or before t_now, and InputError when t_now is not a finite real
+    number or ``measure`` is not a MeasureKind.
     """
     row = _row(measure)
     orders = _check_order_count(basis, orders, "orders")
-    _check_tau(tau)
+    tau = _check_tau(tau)
+    t_now = _real(t_now, "t_now")
     if not isfinite(t_now):
         raise InputError(_NOT_FINITE)
     t, p, dV = tick_arrays(ticks)
-    if len(t) > 1 and np.any(np.diff(t) < 0):
-        raise InputError("tick times must be nondecreasing")
     idx = int(np.searchsorted(t, t_now, side="right"))
     if idx == 0:
         raise EmptyWindowError(f"no ticks at or before t_now={t_now}")
     out = np.zeros((5, orders))
     _kernels.accumulate_block(t, p, dV, 0, idx, t[0], t_now, tau, basis, out)
-    return MomentVector(basis=basis, tau=tau, t_now=float(t_now),
+    return MomentVector(basis=basis, tau=tau, t_now=t_now,
                         measure=measure, values=out[row].copy())
 
 
@@ -261,10 +271,9 @@ class MomentEngine:
             raise CapabilityError(
                 f"{basis.value}: n={n} exceeds the stable model order "
                 f"{max_model_order(basis)}")
-        _check_tau(tau)
+        self.tau = _check_tau(tau)
         self.basis = basis
         self.n = n
-        self.tau = float(tau)
         self.orders = 2 * self.n - 1
         self.state = np.zeros((5, self.orders))
         self.t_now: float | None = None
@@ -287,7 +296,8 @@ class MomentEngine:
         The checks of advance_steps on Python scalars, so a live caller
         pays for one step only; the state bits equal advance_steps'.
         """
-        ts, a, b = float(t_new), int(i0), int(i1)
+        ts = _real(t_new, "t_new")
+        a, b = _integer(i0, "i0"), _integer(i1, "i1")
         if not isfinite(ts):
             raise InputError(_NOT_FINITE)
         gap = 0.0 if self.t_now is None else ts - self.t_now
@@ -303,8 +313,10 @@ class MomentEngine:
                     raise InputError(_NOT_FINITE)
                 if not isfinite(pa * pa * va):
                     raise InputError(_OVERFLOW)
+                if self.last_t is not None and ta < self.last_t:
+                    raise InputError(_UNSORTED)
             else:
-                _check_ticks(t[a:b], p[a:b], dV[a:b])
+                _check_ticks(t[a:b], p[a:b], dV[a:b], self.last_t)
             if t[b - 1] > ts:
                 raise InputError("cannot absorb ticks after t_new")
         if gap > PRUNE_HORIZON * self.tau:
@@ -326,8 +338,14 @@ class MomentEngine:
         overflow once, after the last step, and a refused block leaves the
         engine as it was, naming the first step whose rows overflow.
         """
-        times = np.asarray(times, dtype=np.float64)
-        ends = np.asarray(ends, dtype=np.intp)
+        i0 = _integer(i0, "i0")
+        times, ends = np.asarray(times), np.asarray(ends)
+        if not (times.ndim == ends.ndim == 1 and len(times) == len(ends)
+                and times.dtype.kind in "iuf" and ends.dtype.kind in "iuf"
+                and np.isfinite(ends).all() and (ends % 1 == 0).all()):
+            raise InputError("sample times must be real numbers and tick "
+                             "ends integers, 1-d and one end per time")
+        times, ends = times.astype(np.float64), ends.astype(np.intp)
         if not len(times):
             return np.empty((0, 5, self.orders))
         _check_finite(times)
@@ -338,10 +356,10 @@ class MomentEngine:
             raise InputError("engine time must be nondecreasing")
         if (ends < starts).any():
             raise InputError("tick ranges must not run backwards")
-        lo, hi = int(i0), int(ends[-1])
+        lo, hi = i0, int(ends[-1])
         if hi > lo:
             _check_range(t, p, dV, lo, hi)
-            _check_ticks(t[lo:hi], p[lo:hi], dV[lo:hi])
+            _check_ticks(t[lo:hi], p[lo:hi], dV[lo:hi], self.last_t)
             busy = ends > starts
             if (t[ends[busy] - 1] > times[busy]).any():
                 raise InputError("cannot absorb ticks after t_new")
@@ -404,9 +422,8 @@ class MomentEngine:
             self.tick_count += b - a
 
     def window_empty(self) -> bool:
-        if self.tick_count == 0 or self.t_now is None:
-            return True
-        return (self.t_now - self.last_t) > PRUNE_HORIZON * self.tau
+        return (self.last_t is None
+                or self.t_now - self.last_t > PRUNE_HORIZON * self.tau)
 
     def check_window(self) -> None:
         if self.window_empty():

@@ -90,7 +90,8 @@ def raw_moments(ticks, t_now: float, tau: float, basis: BasisId,
         w = math.exp(-(t_now - tk.t) / tau)
         dt = tk.t - prev_t
         prev_t = tk.t
-        if prune and w < 1e-16:
+        # pruned past an age of -ln(1e-16) tau, where the weight is 1e-16
+        if prune and t_now - tk.t > -math.log(1e-16) * tau:
             continue
         if measure is MeasureKind.TIME_DT:
             f = dt

@@ -361,8 +361,10 @@ def test_flat_checks_the_dimension_on_a_miss():
     for bad in (0, -1):
         with pytest.raises(InputError, match="must be >= 1"):
             table.flat(bad)
-    with pytest.raises(InputError, match="^n must be an integer"):
-        table.flat(2.5)
+    # unhashable values miss the cache and are read as any other miss
+    for bad in (2.5, np.array(4), [4]):
+        with pytest.raises(InputError, match="^n must be an integer"):
+            table.flat(bad)
     F = table.flat(4)
     assert F.shape == (7, 16)
     assert table.flat(np.int64(4)) is F and table.flat(4.0) is F

@@ -8,7 +8,7 @@ from conftest import make_stream, regular_stream, rel_err
 from psima import (BasisId, DegenerateStateError, EmptyWindowError,
                    InputError, MeasureKind, MomentEngine, NoVolumeError, Tick,
                    WaveFunction, ema_price, age_tau, evaluate_at, f_psi, flow,
-                   gram, parse_csv, phi_average, resample_full, run_blocks,
+                   gram, parse_csv, resample_full, run_blocks,
                    run_over, solve_pencil, tick_arrays, weighted)
 from psima.measure import PRUNE_HORIZON, _single_shift
 from psima.synth import steady
@@ -418,25 +418,6 @@ def test_a_quiet_spell_keeps_the_spectrum(basis, seed, k, gap):
     assert abs(after.P_IH - before.P_IH) <= tol * abs(before.P_IH)
     assert (abs(after.T_IH - (before.T_IH + gap))
             <= tol_age * (before.T_IH + gap))
-
-
-def test_phi_average_is_price_reading(stream400):
-    n = 8
-    tau = 64.0
-    basis = BasisId.SHIFTED_LEGENDRE
-    t_now = stream400[-1].t
-    orders = 2 * n - 1
-    tim = resample_full(stream400, t_now, tau, basis, orders,
-                        MeasureKind.TIME_DT)
-    vol = resample_full(stream400, t_now, tau, basis, orders,
-                        MeasureKind.VOLUME_DV)
-    pv = resample_full(stream400, t_now, tau, basis, orders,
-                       MeasureKind.PRICE_VOLUME)
-    dec = solve_pencil(flow(vol, n), gram(tim, n))
-    m = dec.effective_n
-    Mp = weighted(pv, n).entries[:m, :m]
-    Mv = flow(vol, n).entries[:m, :m]
-    assert phi_average(dec, Mp, Mv) == f_psi(dec.states[dec.i_IH], Mp, Mv)
 
 
 # tapes whose readings overflow float64: a time step of 1e300 s puts

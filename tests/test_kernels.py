@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psima import BasisId, tick_arrays
-from psima._kernels import PRUNE_OMEGA, accumulate_block
+from psima._kernels import PRUNE_HORIZON, accumulate_block
 
 
 def _accumulate(ticks, t_now, tau, basis, orders):
@@ -18,7 +18,7 @@ def test_prune_skips_ticks_past_horizon(stream400):
     got = _accumulate(stream400, t_now, tau, BasisId.CHEBYSHEV, 9)
     assert np.all(got == 0.0)
     # just inside the cutoff the weight survives
-    t_now = stream400[-1].t - np.log(PRUNE_OMEGA) * tau * 0.99
+    t_now = stream400[-1].t + PRUNE_HORIZON * tau * 0.99
     got = _accumulate(stream400, t_now, tau, BasisId.CHEBYSHEV, 9)
     assert got[0, 0] > 0.0
 
@@ -26,7 +26,7 @@ def test_prune_skips_ticks_past_horizon(stream400):
 def test_prune_threshold_boundary():
     from psima import Tick
     tau = 8.0
-    edge = -np.log(PRUNE_OMEGA) * tau
+    edge = PRUNE_HORIZON * tau
     ticks = [Tick(t=0.0, p=100.0, dV=5.0), Tick(t=1.0, p=100.0, dV=5.0)]
     t, p, dV = tick_arrays(ticks)
     out = np.zeros((5, 3))

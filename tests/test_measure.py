@@ -10,8 +10,8 @@ from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
                    MeasureKind, MomentEngine, Tick, omega, resample_full,
                    run_over, tick_arrays, x_of_t)
 from psima import _kernels
-from psima._kernels import (PRUNE_OMEGA, _table, accumulate_block,
-                            shift_matrices, shift_matrix)
+from psima._kernels import (_table, accumulate_block, shift_matrices,
+                            shift_matrix)
 from psima.basis import evaluate_all, max_model_order
 from psima.measure import _CHECK_SLICE, _ROW, PRUNE_HORIZON, _single_shift
 from psima.synth import steady
@@ -499,6 +499,12 @@ def _bad_steps(t):
         ("columns are lists", 3, t[3], 4, ("t p dV", None, list)),
         ("a column is a list", 3, t[5], 6, ("p", None, list)),
         ("a column is 2-d", 3, t[5], 6, ("dV", None, lambda c: c[:, None])),
+        # the engine has absorbed ticks 0..2: a tick older than tick 2, and
+        # a range whose times fall, are refused as tick_arrays refuses them
+        ("tick before the last absorbed", 3, t[3], 4, ("t", 3, t[1])),
+        ("range out of order", 3, t[6], 7, ("t", 5, t[3])),
+        ("i0 not an integer", 2.5, t[3], 4, None),
+        ("i0 is text", "3", t[3], 4, None),
     ]
 
 
@@ -533,6 +539,8 @@ def test_one_step_advance_refuses_what_the_block_refuses(name):
         assert np.array_equal(eng.raw_rows(), before), name
         assert eng.t_now == base[0][2] and eng.tick_count == 3, name
     assert len(set(messages)) == 1, (name, messages)
+    if "order" in name or "absorbed" in name:
+        assert messages[0] == "tick times must be nondecreasing"
 
 
 @pytest.mark.parametrize("ticks", [
@@ -565,11 +573,13 @@ def test_tick_arrays_reads_a_tuple_of_ticks_as_rows(rows):
 
 
 @pytest.mark.parametrize("bad", ["nan time", "inf price", "overflow",
-                                 "overflow then nan"])
+                                 "overflow then nan", "time backwards",
+                                 "backwards then overflow"])
 def test_tick_checks_refuse_a_bad_tick_past_a_slice_boundary(bad):
     # the checks run slice by slice; the bad tick is the first of the
-    # second slice, and a tape with both faults is refused for its
-    # non-finite field, as a check over the whole tape refuses it
+    # second slice, and a tape with several faults is refused for its
+    # non-finite field first, then for an overflow, then for its order,
+    # as a check over the whole tape refuses it
     n = _CHECK_SLICE + 5
     t, p, dV = np.arange(n, dtype=float), np.full(n, 50.0), np.ones(n)
     if bad == "nan time":
@@ -578,18 +588,130 @@ def test_tick_checks_refuse_a_bad_tick_past_a_slice_boundary(bad):
         p[_CHECK_SLICE] = np.inf
     elif bad == "overflow":
         dV[_CHECK_SLICE] = 1e306
-    else:
+    elif bad == "overflow then nan":
         dV[_CHECK_SLICE - 1] = 1e306
         t[_CHECK_SLICE] = np.nan
-    message = "price \\* price" if bad == "overflow" else "must be finite"
+    elif bad == "time backwards":
+        # falls below the last tick of the slice before it only
+        t[_CHECK_SLICE] -= 1.5
+    else:
+        t[1] = -1.0
+        dV[_CHECK_SLICE] = 1e306
+    message = {"overflow": "price \\* price",
+               "backwards then overflow": "price \\* price",
+               "time backwards": "nondecreasing"}.get(bad, "must be finite")
     with pytest.raises(InputError, match=message):
         tick_arrays((t, p, dV))
     with pytest.raises(InputError, match=message):
         MomentEngine(BasisId.CHEBYSHEV, 2, 10.0).advance_to(
             float(n), t, p, dV, 0, n)
-    # the ticks before the bad one pass
-    assert len(tick_arrays((t[:_CHECK_SLICE - 1], p[:_CHECK_SLICE - 1],
-                            dV[:_CHECK_SLICE - 1]))[0]) == _CHECK_SLICE - 1
+    # the ticks before the bad one pass, where the first slice is sound
+    if bad != "backwards then overflow":
+        assert len(tick_arrays((t[:_CHECK_SLICE - 1], p[:_CHECK_SLICE - 1],
+                                dV[:_CHECK_SLICE - 1]))[0]) == _CHECK_SLICE - 1
+
+
+@pytest.mark.parametrize("name", ["an end between ticks", "a nan end",
+                                  "an end short", "an end too many",
+                                  "2-d times", "times as text"])
+def test_a_block_refuses_malformed_times_and_ends(name):
+    t, p, dV = tick_arrays(make_stream(67, 10))
+    times, ends = [t[3], t[4], t[5]], [4, 5, 6]
+    if name == "an end between ticks":
+        ends = [4, 5.5, 6]
+    elif name == "a nan end":
+        ends = [4, np.nan, 6]
+    elif name == "an end short":
+        ends = [4, 5]
+    elif name == "an end too many":
+        ends = [4, 5, 6, 7]
+    elif name == "2-d times":
+        times, ends = [times], [ends]
+    else:
+        times = [str(ts) for ts in times]
+    eng = MomentEngine(BasisId.CHEBYSHEV, 4, 16.0)
+    eng.advance_to(t[2], t, p, dV, 0, 3)
+    before = eng.raw_rows().copy()
+    with pytest.raises(InputError, match="tick ends|sample times"):
+        eng.advance_steps(times, t, p, dV, 3, ends)
+    assert eng.raw_rows().tobytes() == before.tobytes()
+    assert eng.t_now == t[2] and eng.tick_count == 3
+
+
+def test_a_block_reads_integral_float_ends_as_indices():
+    t, p, dV = tick_arrays(make_stream(67, 10))
+    rows = [MomentEngine(BasisId.CHEBYSHEV, 4, 16.0).advance_steps(
+        t[3:6], t, p, dV, i0, ends) for i0, ends in
+        ((0, [4, 5, 6]), (0.0, np.array([4.0, 5.0, 6.0])))]
+    assert rows[0].tobytes() == rows[1].tobytes()
+
+
+@pytest.mark.parametrize("bad", ["16", None, 16 + 0j, np.array(16.0),
+                                 np.array([16.0])])
+def test_real_arguments_refuse_what_is_not_a_real_number(bad):
+    ticks = [Tick(1.0, 100.0, 5.0), Tick(2.0, 100.0, 5.0)]
+    calls = {
+        "tau": [lambda: MomentEngine(BasisId.CHEBYSHEV, 2, bad),
+                lambda: resample_full(ticks, 2.0, bad, BasisId.CHEBYSHEV, 3,
+                                      MeasureKind.VOLUME_DV),
+                lambda: x_of_t(BasisId.CHEBYSHEV, 0.0, 1.0, bad),
+                lambda: omega(0.0, 1.0, bad),
+                lambda: run_over(ticks, BasisId.CHEBYSHEV, 2, bad)],
+        "t_now": [lambda: resample_full(ticks, bad, 8.0, BasisId.CHEBYSHEV,
+                                        3, MeasureKind.VOLUME_DV)],
+        "t_new": [lambda: MomentEngine(BasisId.CHEBYSHEV, 2,
+                                       8.0).advance_to(bad)],
+        # no grid is a per-tick run
+        "grid": [lambda: run_over(ticks, BasisId.CHEBYSHEV, 2, 8.0,
+                                  grid=bad)] if bad is not None else [],
+    }
+    for name, entries in calls.items():
+        for call in entries:
+            with pytest.raises(InputError,
+                               match=f"^{name} must be a real number"):
+                call()
+
+
+@pytest.mark.parametrize("tau", [16, np.int64(16), np.float32(16.0)])
+def test_real_arguments_take_any_real_scalar(tau):
+    eng = MomentEngine(BasisId.CHEBYSHEV, 2, tau)
+    assert type(eng.tau) is float and eng.tau == 16.0
+    eng.advance_to(np.float32(0.5))
+    assert eng.t_now == 0.5
+
+
+@pytest.mark.parametrize("basis", ALL_BASES)
+def test_a_tick_at_the_prune_horizon_is_inside_the_window(basis):
+    # every site prunes by one rule, age > PRUNE_HORIZON * tau: a tick
+    # exactly that old is kept, though its weight lies just under 1e-16
+    tau = 16.0
+    t, p, dV = tick_arrays([Tick(0.0, 100.0, 5.0), Tick(1.0, 100.0, 5.0)])
+    t_now = 1.0 + PRUNE_HORIZON * tau
+    assert t_now - t[1] == PRUNE_HORIZON * tau
+    held = np.exp(-(t_now - t[1]) / tau) * dV[1]
+    assert 0.0 < held < 1e-16 * dV[1]
+    live = MomentEngine(basis, 2, tau)
+    live.advance_to(t_now, t, p, dV, 0, 2)
+    block = MomentEngine(basis, 2, tau)
+    block.advance_steps([t_now], t, p, dV, 0, [2])
+    full = resample_full((t, p, dV), t_now, tau, basis, 3,
+                         MeasureKind.VOLUME_DV)
+    for eng in (live, block):
+        assert not eng.window_empty()
+        assert eng.moments(MeasureKind.VOLUME_DV).values[0] == held
+    # tick 0 lies past the horizon and is pruned
+    assert full.values[0] == held
+
+
+def test_every_tape_reader_refuses_ticks_out_of_time_order():
+    ticks = [Tick(ts, 100.0, 5.0) for ts in (0.0, 5.0, 3.0, 6.0, 7.0, 8.0)]
+    for call in (lambda: tick_arrays(ticks),
+                 lambda: resample_full(ticks, 8.0, 16.0, BasisId.CHEBYSHEV,
+                                       3, MeasureKind.VOLUME_DV),
+                 lambda: run_over(ticks, BasisId.CHEBYSHEV, 2, 16.0)):
+        with pytest.raises(InputError,
+                           match="^tick times must be nondecreasing$"):
+            call()
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
@@ -659,12 +781,13 @@ def test_laguerre_engine_is_the_unpruned_sum_and_resample_drops_the_prune():
     # the float sum over every tick, with numpy's own Laguerre values
     age = t[-1] - t
     w = np.exp(-age / tau)
-    assert (w < PRUNE_OMEGA).sum() > 500
+    pruned = age > PRUNE_HORIZON * tau
+    assert pruned.sum() > 500
     terms = np.stack([np.diff(t, prepend=t[0]), dV, p * dV, age * dV,
                       p * p * dV]) * w
     V = nplag.lagvander(age / tau, orders - 1)
     unpruned = terms @ V
-    pruned_mass = (terms * (w < PRUNE_OMEGA)) @ V
+    pruned_mass = (terms * pruned) @ V
     scale = np.abs(unpruned).max(axis=1)
     engine_gap = np.abs(eng.raw_rows() - unpruned).max(axis=1) / scale
     assert np.all(engine_gap < 1e-13)
