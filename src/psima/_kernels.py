@@ -82,6 +82,13 @@ def accumulate_block(t, p, dV, i0, i1, t_prev0, t_now, tau, basis, out):
 
 
 @lru_cache(maxsize=None)
+def _factors(orders):
+    # (j, 2j), j = 1..orders-1, as floats: exact, so the Laguerre
+    # recurrence rounds as it does on ints, with no conversion per step
+    return tuple((float(j), 2.0 * j) for j in range(1, orders))
+
+
+@lru_cache(maxsize=None)
 def _lags(orders):
     """Lag m - i of each entry G[m, i]; above the diagonal, ``orders``.
 
@@ -106,9 +113,9 @@ def shift_matrix(basis, d, orders):
         return shift_matrices(basis, [d], orders)[0]
     a, b = d * 0.0 + 1.0, d * 0.0  # L^{(1)}_{j-1}(d), L^{(1)}_{j-2}(d)
     g = [a]
-    for j in range(1, orders):
+    for j, j2 in _factors(orders):
         g.append(-(d / j) * a)
-        a, b = ((2 * j - d) * a - j * b) / j, a
+        a, b = ((j2 - d) * a - j * b) / j, a
     return np.array(g + [d * 0.0]).T.take(_lags(orders), axis=-1)
 
 

@@ -54,6 +54,10 @@ class BasisId(enum.Enum):
     SHIFTED_LEGENDRE = "legendre"
     CHEBYSHEV = "chebyshev"
 
+    # members are singletons, so identity hashes them; Enum's own hash
+    # reads the name in Python on every cache lookup keyed by a basis
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, name: str) -> "BasisId":
         key = name.strip().lower() if isinstance(name, str) else None
@@ -108,6 +112,19 @@ def _real(value, name: str) -> float:
     raise InputError(f"{name} must be a real number, got {value!r}")
 
 
+def _reals(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array, or an InputError naming the argument
+    ``name``: real numbers, and arrays and sequences of them, pass, nan
+    and inf among them, but not strings, None or complex numbers."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged sequence
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise InputError(f"{name} must be real numbers, got {value!r}")
+    return arr.astype(np.float64, copy=False)
+
+
 def _check_order_count(basis: BasisId, count, name: str) -> int:
     # count = number of polynomials requested, returned as an int; moment
     # vectors may need up to order 2*(n-1), hence the factor of two over
@@ -128,12 +145,14 @@ def evaluate_all(basis: BasisId, n: int, x):
 
     ``x`` may be a scalar or an ndarray; the result has shape (n,) + x.shape.
     Domain is enforced: the linear coordinate must be finite and <= 0, the
-    exponential one inside [0, 1]; nan is refused. Out-of-domain Laguerre
-    arguments explode exponentially and have historically produced garbage
-    matrices that *look* plausible, hence the hard error.
+    exponential one inside [0, 1]; nan is refused, and so is an ``x``
+    that is not real numbers (a string, None, a complex number).
+    Out-of-domain Laguerre arguments explode exponentially and have
+    historically produced garbage matrices that *look* plausible, hence
+    the hard error.
     """
     n = _check_order_count(basis, n, "n")
-    xa = np.asarray(x, dtype=np.float64)
+    xa = _reals(x, "x")
     lo, hi = (xa.min(), xa.max()) if xa.size else (0.0, 0.0)
 
     if basis is BasisId.LAGUERRE:

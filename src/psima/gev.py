@@ -200,8 +200,9 @@ def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
     dimension above ``start`` only once it has passed the gate at every
     dimension from ``start`` + 1 up. ``basis`` sets the gate, as the
     OperatorMatrix wrappers do for solve_pencil. While every pencil of
-    the stack is still unsolved, a dimension reads the leading blocks of
-    the whole stack as views; a live stack of one always does.
+    the stack still walks, or is still unsolved, a dimension reads the
+    leading blocks of the whole stack as views; a live stack of one
+    always does.
 
     ``probes``, with a basis, is the caller's walk state: entry m holds
     the bottom and top states of the last pencil the walk above the start
@@ -212,7 +213,6 @@ def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
     result. Its length is n + 1.
     """
     K, k, n = ops.shape[0], ops.shape[1], ops.shape[-1]
-    B = ops[:, 0]
     effective_n = np.zeros(K, dtype=np.intp)
     lambdas = np.zeros((K, n))
     alphas = np.zeros((K, n, n))
@@ -222,18 +222,19 @@ def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
     # once solved. Above the start it is walked up while the resolution
     # gate passes; top and least are its largest and smallest entries.
     h = min(max(n if start is None else int(start), 1), n)
-    reach = np.full(K, h)
+    reach = effective_n + h
     top, least = h, None
     up = np.arange(K)
     certify = probes is not None and basis is not None
     for m in range(h + 1, n + 1):
-        Bm = B[up, :m, :m]
+        Bm = ops[:, 0, :m, :m] if len(up) == K else ops[up, 0, :m, :m]
         P = probes[m] if certify else None
         if P is not None:
             keep = ~_ruled_out(P, Bm)
-            up, Bm = up[keep], Bm[keep]
+            up = up[keep]
         if len(up):
-            ok, _, X = _resolved(Bm, basis, m)
+            ok, _, X = _resolved(Bm if len(up) == len(Bm) else Bm[keep],
+                                 basis, m)
             if certify:
                 probes[m] = _probe_forms(X[-1], basis, m)
             up = up[ok]
@@ -270,21 +271,6 @@ def solve_stack(ops: np.ndarray, basis: BasisId | None = None,
     return PencilStack(effective_n, lambdas, alphas, i_IH, forms)
 
 
-def _swap(X: np.ndarray) -> np.ndarray:
-    return X.swapaxes(-1, -2)
-
-
-def _diag(X: np.ndarray) -> np.ndarray:
-    return X.diagonal(axis1=-2, axis2=-1)
-
-
-def _sqnorms(X: np.ndarray) -> np.ndarray:
-    # squared Frobenius norm of each matrix of X (..., m, m) as one dot
-    # product, as np.linalg.norm forms it for a single matrix
-    v = X.reshape(X.shape[:-2] + (1, -1))
-    return (v @ _swap(v))[..., 0, 0]
-
-
 def _solve_dim(ops, basis):
     """Every gate, for a stack of (k, m, m) operators.
 
@@ -303,51 +289,61 @@ def _solve_dim(ops, basis):
     Returns the mask of the pencils that pass every gate (None where all
     do) and, for those in order, the clamped eigenvalues (ascending, as
     eigh returns them), B-orthonormal states (columns), the indices of
-    the top states and their forms (k,); the bottom state is always 0.
-    Where none passes, the four are None.
+    the top states (the scalar m - 1 where every top state is the last)
+    and their forms (k,); the bottom state is always 0. Where none
+    passes, the four are None.
     """
     m = ops.shape[-1]
     kept = None
     ok, lam, X = _resolved(ops[:, 0], basis, m)
-    if not ok.all():
-        if not ok.any():
+    if np.count_nonzero(ok) < len(ok):
+        if not np.count_nonzero(ok):
             return ok, None, None, None, None
         kept, ops, lam, X = ok, ops[ok], lam[ok], X[ok]
     W = X / np.sqrt(lam)[:, :, None]
-    S = W @ ops[:, 1] @ _swap(W)
-    w, U = np.linalg.eigh(0.5 * (S + _swap(S)))
-    alphas = _swap(W) @ U
+    Wt = W.swapaxes(-1, -2)
+    S = W @ ops[:, 1] @ Wt
+    w, U = np.linalg.eigh(0.5 * (S + S.swapaxes(-1, -2)))
+    alphas = Wt @ U
 
     # verify the quality bounds consumers rely on; a dimension that
     # misses them is not solvable at working precision and gets dropped
-    P = ops @ alphas[:, None]
+    a = alphas[:, None]
+    P = ops @ a
     Balphas, Aalphas = P[:, 0], P[:, 1]
     eye, cap = _orthonormality_cap(m)
-    ok = (np.abs(_swap(alphas) @ Balphas - eye) <= cap).all(axis=(1, 2))
-    normB, normA = np.sqrt(_sqnorms(ops[:, :2])).T
+    # the Frobenius norms of B and A (K, 2, 1), each from one dot
+    # product, as np.linalg.norm forms it for a single matrix
+    v = ops[:, :2].reshape(len(ops), 2, 1, -1)
+    norms = np.sqrt((v @ v.swapaxes(-1, -2))[..., 0])
     R = Aalphas - Balphas * w[:, None, :]
-    res_cap = 1e-8 * (normA[:, None] + np.abs(w) * normB[:, None])
-    ok &= (np.sqrt((R * R).sum(axis=1)) <= res_cap).all(axis=1)
+    orth = np.abs(alphas.swapaxes(-1, -2) @ Balphas - eye) <= cap
+    res = (np.sqrt((R * R).sum(axis=1))
+           <= 1e-8 * (norms[:, 1] + np.abs(w) * norms[:, 0]))
     # every state's form with every operator, (K, k, m); P is not read
     # again, so the products go in its place
-    P *= alphas[:, None]
+    P *= a
     D = P.sum(axis=-2)
-    if not ok.all():
+    # count_nonzero: one C call, where ndarray.all passes through Python
+    if np.count_nonzero(orth) + np.count_nonzero(res) < orth.size + res.size:
+        ok = orth.all(axis=(1, 2)) & res.all(axis=1)
         if kept is None:
             kept = ok
         else:
             kept[kept] = ok
-        if not ok.any():
+        if not np.count_nonzero(ok):
             return kept, None, None, None, None
-        w, D, alphas, normA = w[ok], D[ok], alphas[ok], normA[ok]
+        w, D, alphas, norms = w[ok], D[ok], alphas[ok], norms[ok]
 
     # flow is a nonnegative form; tiny negative lambdas are roundoff.
     # eigh's lambdas ascend, so only a row whose first is negative needs
     # the clamp, and the clamp keeps the order: the bottom state is 0.
-    if w[:, 0].min() < 0.0:
-        floor = -1e-12 * np.maximum(normA, 1.0)
-        w = np.where((w < 0.0) & (w > floor[:, None]), 0.0, w)
+    if np.count_nonzero(w[:, 0] < 0.0):
+        floor = -1e-12 * np.maximum(norms[:, 1], 1.0)
+        w = np.where((w < 0.0) & (w > floor), 0.0, w)
     ih = _pick_top(w, D)
+    if ih is None:
+        return kept, w, alphas, m - 1, D[..., -1]
     return kept, w, alphas, ih, D[np.arange(len(ih)), :, ih]
 
 
@@ -378,17 +374,19 @@ def _resolved(B: np.ndarray, basis: BasisId | None, m: int):
     by, only have to stay PIVOT_RTOL away from singular.
     """
     if basis is None:
-        d = _diag(B)
+        d = B.diagonal(axis1=-2, axis2=-1)
         W0 = np.eye(m) / np.sqrt(np.where(d > 0.0, d, 1.0))[:, None, :]
         dlo = d.min(axis=1)
         ok = (dlo > 0.0) & (dlo >= PIVOT_RTOL * d.max(axis=1))
     else:
-        W0, ok = _ideal_whitener(basis, m), True
-    lam, V = np.linalg.eigh(W0 @ B @ _swap(W0))
+        W0 = _ideal_whitener(basis, m)
+    lam, V = np.linalg.eigh(W0 @ B @ W0.swapaxes(-1, -2))
     lo, hi = lam[:, 0], lam[:, -1]
-    ok &= (lo > 0.0) & (lo >= PIVOT_RTOL * hi if basis is None
-                        else hi <= KAPPA_CAP * lo)
-    return ok, lam, _swap(V) @ W0
+    if basis is None:
+        ok &= (lo > 0.0) & (lo >= PIVOT_RTOL * hi)
+    else:
+        ok = (lo > 0.0) & (hi <= KAPPA_CAP * lo)
+    return ok, lam, V.swapaxes(-1, -2) @ W0
 
 
 def _probe_forms(X: np.ndarray, basis: BasisId, m: int) -> np.ndarray:
@@ -423,6 +421,7 @@ def _ideal_whitener(basis: BasisId, m: int) -> np.ndarray:
 
 def _pick_top(w: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Index of the top state per pencil; ties go to the youngest state.
+    None where no pencil's top is tied, so every top state is the last.
 
     ``w`` ascends along each row, so the tied states of a row are its
     last ones, and the row has a tie only where its last two eigenvalues
@@ -430,13 +429,13 @@ def _pick_top(w: np.ndarray, D: np.ndarray) -> np.ndarray:
     operator in D[:, 1] and the tie-breaker in D[:, 2], a state's age
     reading is the ratio of the two.
     """
-    K, m = w.shape
+    m = w.shape[1]
     if m == 1 or D.shape[1] < 3:
-        return np.full(K, m - 1, dtype=np.intp)
+        return None
     top = w[:, -1:]
     tied = w >= top - TIE_RTOL * np.abs(top)
-    if not tied[:, -2].any():
-        return np.full(K, m - 1, dtype=np.intp)
+    if not np.count_nonzero(tied[:, -2]):
+        return None
     # age reading <psi|T|psi>/<psi|A|psi> of each state (column), inf for
     # a state that reads no volume. A row without a tie has one tied
     # state, its last, so every row is picked by the same steps.

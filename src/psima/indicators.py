@@ -30,7 +30,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .basis import BasisId, _real, linearization_table, matrix_from_moments
+from .basis import (BasisId, _real, _reals, linearization_table,
+                    matrix_from_moments)
 from .errors import DegenerateStateError, InputError, NoVolumeError
 from .gev import WaveFunction, rayleigh, solve_stack
 from .measure import PRUNE_HORIZON, MomentEngine, tick_arrays
@@ -63,22 +64,32 @@ class IndicatorSample:
     p_std: float = float("nan")  # EMA deviation, optional CLI column
 
 
+def _ratio0(num, den, names: tuple[str, str]) -> float:
+    """The ratio of two moment vectors' order-0 entries. Each is a
+    MomentVector or a nonempty 1-d sequence of real numbers; anything
+    else is refused with InputError naming its argument."""
+    first = []
+    for moments, name in zip((num, den), names):
+        values = _reals(getattr(moments, "values", moments), name)
+        if values.ndim != 1 or not len(values):
+            raise InputError(f"{name} must be a moment vector (nonempty, "
+                             f"1-d), got shape {values.shape}")
+        first.append(float(values[0]))
+    if first[1] <= 0.0:
+        raise NoVolumeError("window holds no traded volume")
+    return first[0] / first[1]
+
+
 def ema_price(moments_price, moments_volume) -> float:
     """P_tau = <pI>/<I> from the zeroth-order moments."""
-    num = np.asarray(getattr(moments_price, "values", moments_price))
-    den = np.asarray(getattr(moments_volume, "values", moments_volume))
-    if den[0] <= 0.0:
-        raise NoVolumeError("window holds no traded volume")
-    return float(num[0] / den[0])
+    return _ratio0(moments_price, moments_volume,
+                   ("moments_price", "moments_volume"))
 
 
 def age_tau(moments_age, moments_volume) -> float:
     """T_tau = <(t_now - t) I>/<I>."""
-    num = np.asarray(getattr(moments_age, "values", moments_age))
-    den = np.asarray(getattr(moments_volume, "values", moments_volume))
-    if den[0] <= 0.0:
-        raise NoVolumeError("window holds no traded volume")
-    return float(num[0] / den[0])
+    return _ratio0(moments_age, moments_volume,
+                   ("moments_age", "moments_volume"))
 
 
 def f_psi(psi: WaveFunction, M_num, M_den) -> float:
@@ -127,7 +138,7 @@ def _solve(rows: np.ndarray, engine: MomentEngine) -> Iterable[tuple]:
     if not len(rows):
         return ()
     basis, n = engine.basis, engine.n
-    if not rows[:, 0, 0].all():
+    if np.count_nonzero(rows[:, 0, 0]) < len(rows):
         blank = rows[:, 0, 0] == 0.0
         solved = iter(_solve(rows[~blank], engine))
         unsolved = (0, 0, [0.0] * n, [0.0] * len(_SOLVE_ROWS))

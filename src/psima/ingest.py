@@ -54,7 +54,8 @@ class _Clock:
             try:
                 day = datetime.strptime(self.date, "%Y-%m-%d")
             except ValueError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
+                raise InputError(
+                    f"line {lineno}: date {self.date!r}: {exc}") from None
             self.midnight = day.replace(tzinfo=timezone.utc).timestamp()
         try:
             h, m = int(parts[0]), int(parts[1])
@@ -68,7 +69,11 @@ class _Clock:
 
 
 def parse_csv(source, date: str | None = None) -> list[Tick]:
-    """Read a tick tape; ``source`` is a path, or any iterable of lines."""
+    """Read a tick tape; ``source`` is a path, or any iterable of lines.
+
+    A ``source`` that is neither, a line that is not text, and a ``date``
+    that is not a string are refused with InputError, as a bad line is.
+    """
     return [Tick(*row) for row in parse_rows(source, date)]
 
 
@@ -79,13 +84,20 @@ def parse_rows(source, date: str | None = None
     ``source`` is as for parse_csv, and a bad line raises the same
     InputError when iteration reaches it.
     """
+    if not (date is None or isinstance(date, str)):
+        raise InputError(f"date must be a YYYY-MM-DD string, got {date!r}")
     if isinstance(source, (str, PathLike)):
         # undecodable bytes become lone surrogates, refused by line below
         with open(source, "r", encoding="utf-8",
                   errors="surrogateescape") as fh:
             yield from _parse_lines(fh, date)
-    else:
-        yield from _parse_lines(source, date)
+        return
+    try:
+        lines = iter(source)
+    except TypeError:
+        raise InputError(f"source must be a path or an iterable of lines, "
+                         f"got {source!r}") from None
+    yield from _parse_lines(lines, date)
 
 
 def _check_utf8(line: str, lineno: int) -> None:
@@ -102,14 +114,18 @@ def _parse_lines(lines: Iterable[str], date: str | None
     clock = _Clock(date)
     first = True  # no nonblank line read yet: it may be a header
     for lineno, raw in enumerate(lines, start=1):
-        if lineno == 1:
-            # the byte-order mark spreadsheet "CSV UTF-8" exports begin with
-            raw = raw.removeprefix("\ufeff")
-        line = raw.strip()
+        try:
+            if lineno == 1:
+                # the byte-order mark of spreadsheet "CSV UTF-8" exports
+                raw = raw.removeprefix("\ufeff")
+            line = raw.strip()
+            fields = line.split(",")
+        except (AttributeError, TypeError):
+            raise InputError(f"line {lineno}: source must give lines of "
+                             f"text, got {raw!r}") from None
         if not line:
             continue
         _check_utf8(line, lineno)
-        fields = line.split(",")
         if first:
             first = False
             if _looks_like_header(fields):
@@ -166,17 +182,33 @@ def serialize_csv(ticks: Iterable[Tick], dest) -> None:
     """Write ticks as epoch-second CSV; floats use shortest round-trip form.
 
     ``dest`` is a path or a writable text stream. parse(serialize(x)) == x
-    for any tick list this module produced.
+    for any tick list this module produced. A ``dest`` that is neither is
+    refused with InputError before anything is written, and so is a tick
+    without real t, p and dV fields once the rows before it are written.
     """
+    if not isinstance(dest, (str, PathLike)) and not callable(
+            getattr(dest, "write", None)):
+        raise InputError(f"dest must be a path or a writable text stream, "
+                         f"got {dest!r}")
+    try:
+        rows = iter(ticks)
+    except TypeError:
+        raise InputError(f"ticks must be an iterable of Ticks, got "
+                         f"{ticks!r}") from None
     if isinstance(dest, (str, PathLike)):
         with open(dest, "w", encoding="utf-8") as fh:
-            _write(ticks, fh)
+            _write(rows, fh)
     else:
-        _write(ticks, dest)
+        _write(rows, dest)
 
 
-def _write(ticks: Iterable[Tick], fh: io.TextIOBase) -> None:
+def _write(ticks: Iterator[Tick], fh: io.TextIOBase) -> None:
     fh.write("time,price,shares\n")
     for tk in ticks:
-        # float() strips numpy scalar wrappers so repr stays plain
-        fh.write(f"{float(tk.t)!r},{float(tk.p)!r},{float(tk.dV)!r}\n")
+        try:
+            # float() strips numpy scalar wrappers so repr stays plain
+            t, p, dV = float(tk.t), float(tk.p), float(tk.dV)
+        except (AttributeError, TypeError, ValueError):
+            raise InputError(f"ticks must be Ticks (t, p, dV), got "
+                             f"{tk!r}") from None
+        fh.write(f"{t!r},{p!r},{dV!r}\n")

@@ -44,8 +44,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import PRUNE_HORIZON
-from .basis import (BasisId, _check_order_count, _integer, _real,
-                    max_model_order)
+from .basis import (BasisId, _check_order_count, _integer, _order_bound,
+                    _real, _reals, max_model_order)
 from .errors import CapabilityError, EmptyWindowError, InputError
 
 __all__ = [
@@ -194,17 +194,24 @@ def _check_tau(tau) -> float:
 
 
 def x_of_t(basis: BasisId, t, t_now: float, tau: float):
-    """Window coordinate of a timestamp; linear for laguerre, else exponential."""
+    """Window coordinate of a timestamp; linear for laguerre, else exponential.
+
+    ``t`` is real numbers (a scalar or an array), ``t_now`` and ``tau``
+    real scalars; anything else is refused with InputError.
+    """
+    _order_bound(basis)
     tau = _check_tau(tau)
-    t = np.asarray(t, dtype=np.float64)
+    t, t_now = _reals(t, "t"), _real(t_now, "t_now")
     if basis is BasisId.LAGUERRE:
         return (t - t_now) / tau
     return np.exp((t - t_now) / tau)
 
 
 def omega(t, t_now: float, tau: float):
+    """Window weight exp(-(t_now - t)/tau), read as x_of_t reads them."""
     tau = _check_tau(tau)
-    return np.exp(-(t_now - np.asarray(t, dtype=np.float64)) / tau)
+    t, t_now = _reals(t, "t"), _real(t_now, "t_now")
+    return np.exp(-(t_now - t) / tau)
 
 
 def _row(measure: MeasureKind) -> int:
@@ -317,7 +324,8 @@ class MomentEngine:
                     raise InputError(_UNSORTED)
             else:
                 _check_ticks(t[a:b], p[a:b], dV[a:b], self.last_t)
-            if t[b - 1] > ts:
+                ta = t[b - 1]
+            if ta > ts:
                 raise InputError("cannot absorb ticks after t_new")
         if gap > PRUNE_HORIZON * self.tau:
             G, fade = None, 0.0
@@ -401,24 +409,27 @@ class MomentEngine:
         else:
             st = self.state.copy()
             if gap > 0 and self.tick_count > 0:
-                st[3] += gap * st[1]            # ages grow with the shift
-                st = fade * (st @ G.T)
-        if b - a == 1 and t[a] == ts:
-            pa, va = float(p[a]), float(dV[a])
+                age = st[3]
+                age += gap * st[1]              # ages grow with the shift
+                st = st @ G.T
+                st *= fade
+        if b > a:
+            tb, pb = float(t[b - 1]), float(p[b - 1])
+        if b - a == 1 and tb == ts:
+            va = float(dV[a])
             dt = ts - (ts if self.last_t is None else self.last_t)
-            st += np.array([dt, va, pa * va, 0.0 * va, pa * pa * va])[:, None]
+            st += np.array([dt, va, pb * va, 0.0 * va, pb * pb * va])[:, None]
         elif b > a:
             _kernels.accumulate_block(t, p, dV, a, b,
                                       t[a] if self.last_t is None
                                       else self.last_t, ts,
                                       self.tau, self.basis, st)
-        if check and not np.isfinite(st).all():
+        if check and np.count_nonzero(np.isfinite(st)) < st.size:
             raise InputError(_overflow_at(ts))
         self.state = st
         self.t_now = ts
         if b > a:
-            self.last_t = float(t[b - 1])
-            self.p_last = float(p[b - 1])
+            self.last_t, self.p_last = tb, pb
             self.tick_count += b - a
 
     def window_empty(self) -> bool:

@@ -19,6 +19,21 @@ def _children_import_this_psima():
         yield
 
 
+@pytest.fixture(scope="session")
+def benchmark_tapes():
+    """The tick columns of the benchmark's two tapes."""
+    return {
+        # acceptance criterion 10 (psima synth --seed 7 --rate 1 --flow 100
+        # --price 100 --duration 10000)
+        "criterion10": psima.tick_arrays(
+            psima.steady(1.0, 100.0, 100.0, 10000.0, 7)),
+        # the live_laguerre benchmark workload at seed 0
+        "live": psima.tick_arrays(
+            psima.spike(psima.steady(2.0, 100.0, 50.0, 3000.0, 5),
+                        1500.0, 8.0, 30.0, 1.25)),
+    }
+
+
 def make_stream(seed: int, n_ticks: int, *, dt_lo=0.2, dt_hi=1.8,
                 p0=100.0, p_amp=4.0, dv_lo=10.0, dv_hi=100.0,
                 t0=0.0) -> list[Tick]:

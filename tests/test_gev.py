@@ -10,7 +10,6 @@ from psima.basis import (continuum_gram, linearization_table,
                          matrix_from_moments, max_model_order)
 from psima import gev
 from psima.gev import _resolved, solve_stack
-from psima.synth import spike, steady
 
 
 def _random_pencil(rng, n, b_floor=0.1):
@@ -215,18 +214,6 @@ def test_sign_flip_changes_nothing_downstream():
     for s in dec.states:
         assert rayleigh(-s.alpha, A, B) == pytest.approx(
             rayleigh(s.alpha, A, B), rel=1e-14)
-
-
-@pytest.fixture(scope="module")
-def benchmark_tapes():
-    return {
-        # acceptance criterion 10 (psima synth --seed 7 --rate 1 --flow 100
-        # --price 100 --duration 10000)
-        "criterion10": tick_arrays(steady(1.0, 100.0, 100.0, 10000.0, 7)),
-        # the live_laguerre benchmark workload at seed 0
-        "live": tick_arrays(spike(steady(2.0, 100.0, 50.0, 3000.0, 5),
-                                  1500.0, 8.0, 30.0, 1.25)),
-    }
 
 
 @pytest.mark.parametrize("basis", list(BasisId))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -222,6 +224,73 @@ def _stream_samples(ticks, basis, n, tau, grid=None):
         except (EmptyWindowError, NoVolumeError, DegenerateStateError):
             skipped += 1
     return samples, skipped
+
+
+def _samples_bytes(samples) -> bytes:
+    return np.array([dataclasses.astuple(s) for s in samples]).tobytes()
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+@pytest.mark.parametrize("tape", ["criterion10", "live"])
+def test_live_readings_equal_run_over_to_the_bit(benchmark_tapes, tape,
+                                                 basis):
+    # the first 1,500 ticks of both benchmark tapes: a live caller's
+    # samples and the batch's have the same bytes, signed zeros included
+    t, p, dV = (c[:1500] for c in benchmark_tapes[tape])
+    samples, skipped = run_over((t, p, dV), basis, 12, 256.0)
+    ref, ref_skipped = _stream_samples((t, p, dV), basis, 12, 256.0)
+    assert (skipped, len(samples)) == (ref_skipped, len(ref))
+    assert _samples_bytes(samples) == _samples_bytes(ref)
+
+
+def _engine_state(eng) -> tuple:
+    probes = [None if x is None else x.tobytes() for x in eng.probe_states]
+    return (eng.state.tobytes(), eng.t_now, eng.last_t, eng.p_last,
+            eng.tick_count, eng.resolved_n, probes)
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+def test_a_refused_live_step_changes_no_engine_state(benchmark_tapes,
+                                                     basis):
+    # 300 live readings, then a tick whose p^2 dV fits but whose sum with
+    # the one before it at the same time overflows
+    t, p, dV = (c[:300] for c in benchmark_tapes["live"])
+    t = np.append(t, [t[-1] + 1.0] * 2)
+    p = np.append(p, [1e154] * 2)
+    dV = np.append(dV, [1.5] * 2)
+    eng = MomentEngine(basis, 12, 256.0)
+    for k in range(300):
+        eng.advance_to(t[k], t, p, dV, k, k + 1)
+        evaluate_at(float(t[k]), eng)
+    assert any(x is not None for x in eng.probe_states)
+    eng.advance_to(t[300], t, p, dV, 300, 301)
+    state = _engine_state(eng)
+    refusals = [
+        ((t[301], t, p, dV, 301, 302), "overflow the moment arithmetic"),
+        ((t[300] - 1.0,), "nondecreasing"),
+        ((t[301] + 1.0, t, p, dV, 301, 303), "outside the 302 ticks"),
+    ]
+    for args, why in refusals:
+        with pytest.raises(InputError, match=why):
+            eng.advance_to(*args)
+        assert _engine_state(eng) == state, why
+
+
+@pytest.mark.parametrize("basis", list(BasisId))
+def test_rows_read_before_a_step_keep_their_values(benchmark_tapes, basis):
+    # raw_rows() hands out the engine's rows uncopied and moments() a
+    # copy; a later step, with ticks or without, writes neither
+    t, p, dV = benchmark_tapes["live"]
+    eng = MomentEngine(basis, 12, 256.0)
+    eng.advance_to(t[99], t, p, dV, 0, 100)
+    rows = eng.raw_rows()
+    vol = eng.moments(MeasureKind.VOLUME_DV).values
+    kept = rows.tobytes(), vol.tobytes()
+    eng.advance_to(t[100], t, p, dV, 100, 101)
+    eng.advance_to(0.5 * (t[100] + t[101]))
+    eng.advance_to(t[102], t, p, dV, 101, 103)
+    assert (rows.tobytes(), vol.tobytes()) == kept
+    assert eng.raw_rows().tobytes() != kept[0]
 
 
 @pytest.mark.parametrize("basis", list(BasisId))
