@@ -21,10 +21,10 @@ X; each entry of G is a polynomial of degree < orders in s. So
 G(s) = sum_k T_k(2s - 1) C_k exactly, with C interpolated once per basis
 and order count at the Chebyshev points of the first kind, in s and in x
 alike (Trefethen, Approximation Theory and Approximation Practice, ch. 3,
-15). A gap costs its Chebyshev values and one small product with C, which
-holds orders^3 floats: 97 KB at 23 orders, 26 MB at 149. No product runs
-over the whole stack of gaps at once, since the BLAS would round a gap's
-entries differently for each stack size.
+15), every T from basis.chebyshev_values. A gap costs its T and one small
+product with C, which holds orders^3 floats: 97 KB at 23 orders, 26 MB
+at 149. No product runs over the whole stack of gaps at once, since the
+BLAS would round a gap's entries differently for each stack size.
 
 The Laguerre shift needs no recurrence over matrix rows. By the addition
 theorem (DLMF 18.18.12 with alpha = 0, beta = -1)
@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisId, evaluate_all
+from .basis import BasisId, chebyshev_values, evaluate_all
 
 PRUNE_HORIZON = -math.log(1e-16)
 
@@ -121,13 +121,13 @@ def shift_matrix(basis, d, orders):
 
 @lru_cache(maxsize=None)
 def _table(basis, orders):
-    """k = 0..orders-1 and the table C, (orders, orders^2), whose row k is
-    C_k row by row. The nodes X serve in s too: G(x_j) = Q(x_j X) Q(X)^-1,
-    evaluated 32 nodes at a time, and the inverse of Ts[j, k] =
-    T_k(2 x_j - 1) turns each row m of G's node values into Chebyshev
-    coefficients in place, so no temporary holds more than 32 nodes'
-    worth. C_k is exactly 0 above the diagonal and C's row 0 exactly e_0,
-    so G's are too.
+    """The table C, (orders, orders^2), whose row k is C_k row by row.
+
+    The nodes X serve in s too: G(x_j) = Q(x_j X) Q(X)^-1, evaluated 32
+    nodes at a time, and the inverse of Ts[j, k] = T_k(2 x_j - 1) turns
+    each row m of G's node values into Chebyshev coefficients in place,
+    so no temporary holds more than 32 nodes' worth. C_k is exactly 0
+    above the diagonal and C's row 0 exactly e_0, so G's are too.
     """
     x = 0.5 + 0.5 * np.cos((np.arange(orders) + 0.5) * (np.pi / orders))
     inv = np.linalg.inv(evaluate_all(basis, orders, x))
@@ -135,32 +135,31 @@ def _table(basis, orders):
     for j in range(0, orders, 32):
         Q = evaluate_all(basis, orders, x[j:j + 32, None] * x)
         np.matmul(Q.swapaxes(0, 1), inv, out=C[j:j + 32])
-    Ts_inv = np.linalg.inv(evaluate_all(BasisId.CHEBYSHEV, orders, x).T)
+    Ts_inv = np.linalg.inv(chebyshev_values(orders, 2.0 * x - 1.0).T)
     for m in range(1, orders):
         C[:, m, :m + 1] = Ts_inv @ C[:, m, :m + 1]
     C[:, 0] = 0.0
     C[0, 0, 0] = 1.0
     C[:, ~np.tri(orders, dtype=bool)] = 0.0
     C = C.reshape(orders, orders * orders)
-    k = np.arange(orders, dtype=np.float64)
-    for a in (k, C):
-        a.flags.writeable = False
-    return k, C
+    C.flags.writeable = False
+    return C
 
 
 def shift_matrices(basis, d, orders):
     """Stack of shift_matrix(basis, d[k], orders), one per gap.
 
     Laguerre runs shift_matrix's closed form on the array of gaps. An
-    exponential basis takes T_k(u) =
-    cos(k arccos u) at u = 2 exp(-d) - 1, in [-1, 1] for every d >= 0,
-    and G = T C with the cached table C, one product per gap. Row m stops
-    at column m, and row 0 is exactly e_0 (T_0 = 1), so every order-0
-    moment shifts by the window decay alone.
+    exponential basis takes T_k(u), k < orders, from chebyshev_values at
+    u = 2 exp(-d) - 1, in [-1, 1] for every d >= 0, and G = T C with the
+    cached table C, one product per gap. Row m stops at column m, and
+    row 0 is exactly e_0 (T_0 = 1), so every order-0 moment shifts by the
+    window decay alone.
     """
     d = np.asarray(d, dtype=np.float64)
     if basis is BasisId.LAGUERRE:
         return shift_matrix(basis, d, orders)
-    k, C = _table(basis, orders)
-    T = np.cos(np.arccos(2.0 * np.exp(-d) - 1.0)[:, None] * k)
-    return np.matmul(T[:, None, :], C).reshape(len(d), orders, orders)
+    T = chebyshev_values(orders, 2.0 * np.exp(-d) - 1.0)
+    # rows of T.T as strided views round differently in the product
+    G = np.matmul(np.ascontiguousarray(T.T)[:, None], _table(basis, orders))
+    return G.reshape(len(d), orders, orders)

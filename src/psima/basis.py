@@ -13,11 +13,11 @@ All downstream algebra needs two primitives: evaluating Q_0..Q_{n-1} at a
 point and re-expanding a product Q_j*Q_k in the same family
 (linearization). Products are what turn a moment vector of length 2n-1
 into n-by-n operator matrices: one vector-matrix product with the table
-flattened to (2n-1, n^2), cached per table and n. Laguerre and Legendre
-values come from their three-term recurrences; Chebyshev values by index
-doubling, in ceil(log2(n - 1)) array steps. The exact
-Legendre-in-Chebyshev table of legendre_in_chebyshev maps Chebyshev
-values to Legendre ones.
+flattened to (2n-1, n^2), cached per table and n. Laguerre values come
+from their three-term recurrence. Both exponential bases come from one
+table, T_k(u) = cos(k arccos u) (chebyshev_values): Chebyshev is the
+table itself, and Legendre its image under the exact connection table
+of legendre_in_chebyshev, P = c T.
 
 Laguerre values grow like e^{|x|/2} away from the window edge, so its
 usable order is much lower than for the bounded families; the bounds below
@@ -39,6 +39,7 @@ from .errors import CapabilityError, InputError
 __all__ = [
     "BasisId",
     "LinearizationTable",
+    "chebyshev_values",
     "continuum_gram",
     "evaluate_all",
     "legendre_in_chebyshev",
@@ -140,8 +141,11 @@ def _check_order_count(basis: BasisId, count, name: str) -> int:
 
 
 def evaluate_all(basis: BasisId, n: int, x):
-    """Q_0(x)..Q_{n-1}(x): Chebyshev by chebyshev_doubling, the others
-    by their three-term recurrences.
+    """Q_0(x)..Q_{n-1}(x): Laguerre by its three-term recurrence, and
+    T = chebyshev_values(n, 2x - 1) for the exponential bases: Chebyshev
+    is T, and Legendre c T, c = legendre_in_chebyshev(n), summed
+    elementwise over k = 1..m in order as P_m = 1 + sum_k c[m, k] (T_k - 1)
+    (each row of c sums to 1), so P_m(1) = 1 exactly at every order.
 
     ``x`` may be a scalar or an ndarray; the result has shape (n,) + x.shape.
     Domain is enforced: the linear coordinate must be finite and <= 0, the
@@ -171,43 +175,30 @@ def evaluate_all(basis: BasisId, n: int, x):
     if not 0.0 <= lo <= hi <= 1.0:
         raise InputError("exponential coordinate must lie in [0, 1] "
                          "(x = exp((t - t_now)/tau) with t <= t_now)")
-    u = 2.0 * xa - 1.0
-    if basis is BasisId.CHEBYSHEV:
-        return chebyshev_doubling(n, u)
-    out = np.empty((n,) + xa.shape, dtype=np.float64)
-    out[0] = 1.0
+    T = chebyshev_values(n, 2.0 * xa.reshape(-1) - 1.0)
+    if basis is BasisId.SHIFTED_LEGENDRE:
+        c = legendre_in_chebyshev(n)
+        D = T - 1.0
+        acc = np.zeros_like(T)
+        for k in range(1, n):
+            # rows m = k, k + 2, ...: c[m, k] is 0 where m - k is odd
+            acc[k::2] += c[k::2, k, None] * D[k]
+        T[2:] = acc[2:] + 1.0
+    return T.reshape((n,) + xa.shape)
+
+
+def chebyshev_values(n: int, u: np.ndarray) -> np.ndarray:
+    """T_0(u)..T_{n-1}(u) = cos(k arccos u), shape (n,) + u.shape: the
+    one Chebyshev evaluator, of evaluate_all and the shift matrices alike.
+
+    T_0 = 1 and T_1 = u are exact, and so is T_k(1) = cos(0) = 1. Every
+    operation is elementwise, so a point's values do not depend on the
+    other points. ``u`` is not checked: callers pass 2x - 1, x in [0, 1].
+    """
+    k = np.arange(n, dtype=np.float64).reshape((n,) + (1,) * u.ndim)
+    out = np.cos(k * np.arccos(u))
     if n > 1:
         out[1] = u
-    for m in range(1, n - 1):
-        out[m + 1] = ((2 * m + 1) * u * out[m] - m * out[m - 1]) / (m + 1)
-    return out
-
-
-def chebyshev_doubling(n: int, u: np.ndarray) -> np.ndarray:
-    """T_0(u)..T_{n-1}(u) by index doubling; shape (n,) + u.shape.
-
-    With T_0..T_k known, the product identity T_{k+i} = 2 T_k T_i - T_{k-i}
-    (Mason & Handscomb, Chebyshev Polynomials, 2.4) gives T_{k+1}..T_{2k}
-    in one array step, so n orders take ceil(log2(n - 1)) steps instead of
-    n - 2. The steps run on D = 2T, where the identity reads
-    D_{k+i} = D_k D_i - D_{k-i}, and halve D at the end; scaling by 2 is
-    exact, so the bits are those of the identity on T. Every operation is
-    elementwise, so the values at a point do not depend on the other
-    points of the call. ``u`` is not checked: callers pass u = 2x - 1
-    with x in [0, 1].
-    """
-    out = np.empty((n,) + u.shape, dtype=np.float64)
-    out[0] = 2.0
-    if n > 1:
-        out[1] = 2.0 * u
-    k = 1
-    while k < n - 1:
-        j = min(k, n - 1 - k)
-        new = out[k + 1:k + j + 1]
-        np.multiply(out[k], out[1:j + 1], out=new)
-        new -= out[k - j:k][::-1]
-        k += j
-    out *= 0.5
     return out
 
 
@@ -363,13 +354,23 @@ def matrix_from_moments(moments, n: int, table: LinearizationTable) -> np.ndarra
     product forms M[j,k] and M[k,j] from the same column. The product
     raises under np.errstate(over="raise") where moments overflow the
     assembly, as np.einsum, which this replaced, did not: it gave inf.
+    Malformed arguments are refused with InputError naming them.
     """
-    values = np.asarray(getattr(moments, "values", moments), dtype=np.float64)
     n = _integer(n, "n")
-    F = table.flat(n)
     need = 2 * n - 1
-    if values.shape[-1] < need:
-        raise InputError(f"moment vector too short: {values.shape[-1]} < {need}")
+    try:
+        F = table.flat(n)
+    except (AttributeError, TypeError):
+        raise InputError(f"table must be a LinearizationTable, "
+                         f"got {table!r}") from None
+    try:
+        values = np.asarray(getattr(moments, "values", moments),
+                            dtype=np.float64)
+        if values.shape[-1] < need:
+            raise InputError(f"moments too short: {values.shape[-1]} < {need}")
+    except (TypeError, ValueError, IndexError):  # not real, or 0-d
+        raise InputError(f"moments must be real moment vectors, "
+                         f"got {moments!r}") from None
     out = values[..., None, :need] @ F
     return out.reshape(values.shape[:-1] + (n, n))
 

@@ -25,8 +25,8 @@ from operator import attrgetter
 import numpy as np
 
 from ._kernels import shift_matrix
-from .basis import (BasisId, evaluate_all, legendre_in_chebyshev,
-                    linearization, linearization_table, matrix_from_moments)
+from .basis import (BasisId, evaluate_all, linearization,
+                    linearization_table, matrix_from_moments)
 from .errors import InputError
 from .gev import _probe_forms, _resolved, _ruled_out, solve_pencil
 from .indicators import IndicatorSample, evaluate_at, run_blocks
@@ -348,20 +348,23 @@ def _check_shift_identity() -> None:
                 _require(np.all(err <= 1e-11 * scale), basis, orders, d)
 
 
-def _check_chebyshev_doubling() -> None:
-    # index-doubled Chebyshev values against the closed form
-    # T_m(u) = cos(m arccos u), and the Legendre recurrence against the
-    # connection table, P = c T; rounding on both sides grows like m^2 eps
+def _check_cosine_table() -> None:
+    # both exponential bases, as the one cosine table gives them, against
+    # their three-term recurrences, run here as an independent reference;
+    # rounding on both sides grows like m^2 eps
     x = np.random.default_rng(29).uniform(0.0, 1.0, 40)
+    u = 2.0 * x - 1.0
     for orders in (23, 149):
         tol = 1e-16 * orders ** 2 + 1e-15
-        T = evaluate_all(BasisId.CHEBYSHEV, orders, x)
-        cosine = np.cos(np.arange(orders)[:, None] * np.arccos(2.0 * x - 1.0))
-        err = np.abs(T - cosine).max()
-        _require(err <= tol, "chebyshev", orders, err)
-        P = evaluate_all(BasisId.SHIFTED_LEGENDRE, orders, x)
-        err = np.abs(P - legendre_in_chebyshev(orders) @ T).max()
-        _require(err <= tol, "legendre", orders, err)
+        T, P = np.ones((2, orders, len(x)))
+        T[1] = P[1] = u
+        for m in range(1, orders - 1):
+            T[m + 1] = 2.0 * u * T[m] - T[m - 1]
+            P[m + 1] = ((2 * m + 1) * u * P[m] - m * P[m - 1]) / (m + 1)
+        for basis, ref in ((BasisId.CHEBYSHEV, T),
+                           (BasisId.SHIFTED_LEGENDRE, P)):
+            err = np.abs(evaluate_all(basis, orders, x) - ref).max()
+            _require(err <= tol, basis, orders, err)
 
 
 # quiet-spell tolerances per basis: lambda_IH, lambda_IL and P_IH
@@ -441,7 +444,7 @@ def _cmd_selftest(args) -> int:
         ("ema-vs-raw-sum", _check_ema_oracle),
         ("incremental-vs-resample", _check_incremental),
         ("shift-matrix-identity", _check_shift_identity),
-        ("chebyshev-doubling-vs-cosine", _check_chebyshev_doubling),
+        ("cosine-table-vs-recurrences", _check_cosine_table),
         ("quiet-spell-congruence", _check_quiet_spell),
         ("synth-volume-accounting", _check_synth_accounting),
         ("probe-certificate-vs-gate", _check_probe_certificate),

@@ -131,18 +131,13 @@ def _solve(rows: np.ndarray, engine: MomentEngine) -> Iterable[tuple]:
     last solved pencil's dimension is written back to resolved_n. Gives
     per snapshot (effective_n, i_IH, lambdas, forms) as Python values,
     forms being the top state's with the Gram, flow, age and price
-    operators; an unsolved pencil's fields read 0. A snapshot with no
-    time mass (its window spans no time) has a zero Gram, which no
-    dimension resolves, and is read so without a solve.
+    operators; an unsolved pencil's fields read 0, as do those of a
+    snapshot with no time mass (its window spans no time), whose zero
+    Gram no dimension resolves.
     """
     if not len(rows):
         return ()
     basis, n = engine.basis, engine.n
-    if np.count_nonzero(rows[:, 0, 0]) < len(rows):
-        blank = rows[:, 0, 0] == 0.0
-        solved = iter(_solve(rows[~blank], engine))
-        unsolved = (0, 0, [0.0] * n, [0.0] * len(_SOLVE_ROWS))
-        return [unsolved if b else next(solved) for b in blank.tolist()]
     ops = matrix_from_moments(rows.take(_SOLVE_ROWS, axis=1), n,
                               linearization_table(basis, n - 1))
     sol = solve_stack(ops, basis, engine.resolved_n, engine.probe_states)

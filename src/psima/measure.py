@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isfinite
 from typing import NamedTuple
 
@@ -126,6 +125,7 @@ def tick_arrays(ticks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _SHAPE = ("ticks must be rows of exactly 3 numbers (t, p, dV) or three "
           "1-d columns")
 _NOT_FINITE = "tick times, prices and shares must be finite"
+_SIGN = "tick prices must be positive and shares nonnegative"
 _OVERFLOW = "price * price * shares of a tick must be finite"
 _UNSORTED = "tick times must be nondecreasing"
 
@@ -146,19 +146,24 @@ _CHECK_SLICE = 1 << 16
 
 def _check_ticks(t: np.ndarray, p: np.ndarray, dV: np.ndarray,
                  last_t: float | None = None) -> None:
-    """Refuse ticks with a non-finite field, a non-finite p^2 dV, or a
-    time before the tick ahead of it or, for the first, before ``last_t``.
+    """Refuse ticks with a non-finite field, a price <= 0 or negative
+    shares, a non-finite p^2 dV, or a time before the tick ahead of it or,
+    for the first, before ``last_t``.
 
     p^2 dV is the largest term a tick adds to the moment rows; where it
     overflows, the rows and every reading after them would be inf or nan.
     The checks run over fixed slices of the columns, all fields first,
-    then all p^2 dV, then the order, so a tape with several faults gets
-    the refusal of one check over the whole tape.
+    then all signs, then all p^2 dV, then the order, so a tape with
+    several faults gets the refusal of one check over the whole tape.
     """
     cuts = range(0, len(t), _CHECK_SLICE)
     for a in cuts:
         b = a + _CHECK_SLICE
         _check_finite(t[a:b], p[a:b], dV[a:b])
+    for a in cuts:
+        b = a + _CHECK_SLICE
+        if not ((p[a:b] > 0.0).all() and (dV[a:b] >= 0.0).all()):
+            raise InputError(_SIGN)
     with np.errstate(over="ignore", invalid="ignore"):
         for a in cuts:
             b = a + _CHECK_SLICE
@@ -248,18 +253,8 @@ def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
 
 
 # ---------------------------------------------------------------------------
-# reference-time shift
+# the streaming engine
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=512)
-def _single_shift(basis: BasisId, delta_over_tau: float,
-                  orders: int) -> np.ndarray:
-    # A live stream advances one gap at a time, and its gaps repeat when
-    # timestamps come at a fixed resolution (HH:MM:SS.fff: 1 ms steps).
-    G = _kernels.shift_matrix(basis, delta_over_tau, orders)
-    G.flags.writeable = False
-    return G
-
 
 class MomentEngine:
     """Streaming accumulator for all five moment rows of one (basis, n, tau).
@@ -318,6 +313,8 @@ class MomentEngine:
                 ta, pa, va = float(t[a]), float(p[a]), float(dV[a])
                 if not (isfinite(ta) and isfinite(pa) and isfinite(va)):
                     raise InputError(_NOT_FINITE)
+                if not (pa > 0.0 and va >= 0.0):
+                    raise InputError(_SIGN)
                 if not isfinite(pa * pa * va):
                     raise InputError(_OVERFLOW)
                 if self.last_t is not None and ta < self.last_t:
@@ -330,7 +327,8 @@ class MomentEngine:
         if gap > PRUNE_HORIZON * self.tau:
             G, fade = None, 0.0
         else:
-            G = _single_shift(self.basis, gap / self.tau, self.orders)
+            G = _kernels.shift_matrix(self.basis, gap / self.tau,
+                                      self.orders)
             fade = float(np.exp(-gap / self.tau))
         with np.errstate(over="ignore", invalid="ignore"):
             self._step(ts, gap, fade, G, t, p, dV, a, b)

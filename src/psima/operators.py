@@ -32,7 +32,12 @@ class OperatorMatrix:
     tau: float
 
 
-def _assemble(moments: MomentVector, n: int) -> OperatorMatrix:
+def _assemble(moments, n, name: str,
+              kind: MeasureKind | None = None) -> OperatorMatrix:
+    if not isinstance(moments, MomentVector):
+        raise InputError(f"{name} must be a MomentVector, got {moments!r}")
+    if kind not in (None, moments.measure):
+        raise InputError(f"{name} must hold {kind.value} moments")
     n = _integer(n, "n")
     table = linearization_table(moments.basis, n - 1)
     entries = matrix_from_moments(moments.values, n, table)
@@ -43,18 +48,15 @@ def _assemble(moments: MomentVector, n: int) -> OperatorMatrix:
 
 def gram(moments_time: MomentVector, n: int) -> OperatorMatrix:
     """B = <Q_j|Q_k> against the time measure."""
-    if moments_time.measure is not MeasureKind.TIME_DT:
-        raise InputError("gram expects time-measure moments")
-    return _assemble(moments_time, n)
+    return _assemble(moments_time, n, "moments_time", MeasureKind.TIME_DT)
 
 
 def flow(moments_volume: MomentVector, n: int) -> OperatorMatrix:
     """A = <Q_j|I|Q_k>: the execution-flow operator (volume measure)."""
-    if moments_volume.measure is not MeasureKind.VOLUME_DV:
-        raise InputError("flow expects volume-measure moments")
-    return _assemble(moments_volume, n)
+    return _assemble(moments_volume, n, "moments_volume",
+                     MeasureKind.VOLUME_DV)
 
 
 def weighted(moments_any: MomentVector, n: int) -> OperatorMatrix:
     """<Q_j| f |Q_k> for any measure; price and age numerators live here."""
-    return _assemble(moments_any, n)
+    return _assemble(moments_any, n, "moments_any")

@@ -10,8 +10,7 @@ from psima import (BasisId, CapabilityError, InputError, MeasureKind,
                    MomentEngine, Tick, evaluate_all, flow, linearization,
                    linearization_table, matrix_from_moments, max_model_order,
                    resample_full, run_over)
-from psima.basis import (chebyshev_doubling, continuum_gram,
-                         legendre_in_chebyshev)
+from psima.basis import continuum_gram, legendre_in_chebyshev
 
 ALL_BASES = list(BasisId)
 
@@ -40,25 +39,30 @@ def test_doubled_chebyshev_values_are_the_closed_form(orders):
                         np.random.default_rng(5).uniform(0.0, 1.0, 200)))
     u = 2.0 * x - 1.0
     T = evaluate_all(BasisId.CHEBYSHEV, orders, x)
-    # rounding of the doubling and of either reference grows like m^2 eps
+    # rounding of the cosine and of either reference grows like m^2 eps
     tol = 1e-16 * orders ** 2 + 1e-15
     closed = np.cos(np.arange(orders)[:, None] * np.arccos(u))
     assert np.max(np.abs(T - closed)) <= tol
     clenshaw = np.array([oracles.poly_value(BasisId.CHEBYSHEV, m, x)
                          for m in range(orders)])
     assert np.max(np.abs(T - clenshaw)) <= tol
-    # T_m(1) = 1 and T_m(-1) = (-1)^m are exact
+    # T_m(1) = 1, T_m(-1) = (-1)^m and T_1(u) = u are exact
     assert np.all(T[:, 1] == 1.0)
     assert np.array_equal(T[:, 0], (-1.0) ** np.arange(orders))
+    assert orders < 2 or np.array_equal(T[1], u)
 
 
 def test_doubled_chebyshev_values_do_not_depend_on_the_other_points():
+    # both exponential bases, at every order the engine uses
     x = np.random.default_rng(6).uniform(0.0, 1.0, (7, 33))
-    T = chebyshev_doubling(149, 2.0 * x - 1.0)
-    assert T.shape == (149, 7, 33)
-    for i, j in ((0, 0), (3, 17), (6, 32)):
-        alone = chebyshev_doubling(149, 2.0 * x[i, j:j + 1] - 1.0)
-        assert np.array_equal(T[:, i, j], alone[:, 0])
+    for basis in (BasisId.SHIFTED_LEGENDRE, BasisId.CHEBYSHEV):
+        Q = evaluate_all(basis, 149, x)
+        assert Q.shape == (149, 7, 33)
+        for i, j in ((0, 0), (3, 17), (6, 32)):
+            alone = evaluate_all(basis, 149, x[i, j:j + 1])
+            assert np.array_equal(Q[:, i, j], alone[:, 0])
+            assert np.array_equal(Q[:, i, j], evaluate_all(basis, 149,
+                                                           x[i, j]))
 
 
 def _legendre_in_chebyshev_exact(n):

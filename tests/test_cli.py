@@ -234,7 +234,7 @@ def test_selftest_passes_and_reports():
     lines = r.stdout.splitlines()
     assert sum(ln.startswith("ok ") for ln in lines) == 10
     assert "ok shift-matrix-identity" in lines
-    assert "ok chebyshev-doubling-vs-cosine" in lines
+    assert "ok cosine-table-vs-recurrences" in lines
     assert "ok quiet-spell-congruence" in lines
     assert "ok probe-certificate-vs-gate" in lines
     assert lines[-1] == "all 10 checks passed"

@@ -13,7 +13,7 @@ from psima import _kernels
 from psima._kernels import (_table, accumulate_block, shift_matrices,
                             shift_matrix)
 from psima.basis import evaluate_all, max_model_order
-from psima.measure import _CHECK_SLICE, _ROW, PRUNE_HORIZON, _single_shift
+from psima.measure import _CHECK_SLICE, _ROW, PRUNE_HORIZON
 from psima.synth import steady
 
 ALL_BASES = list(BasisId)
@@ -361,10 +361,10 @@ def test_exponential_shift_structure_is_exact(basis, orders):
     assert np.all(np.isfinite(G))
     assert np.all(G[:, 0] == np.eye(orders)[0])
     assert not np.triu(G, 1).any()
-    k, C = _table(basis, orders)
+    C = _table(basis, orders)
     assert C.shape == (orders, orders * orders)
-    assert not k.flags.writeable and not C.flags.writeable
-    assert _table(basis, orders)[1] is C
+    assert not C.flags.writeable
+    assert _table(basis, orders) is C
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
@@ -388,16 +388,6 @@ def test_shift_matrix_moves_the_polynomials(basis, d):
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
-def test_single_gap_shift_is_cached_and_read_only(basis):
-    # a live stream advances one gap at a time; repeated gaps reuse G
-    G1 = _single_shift(basis, 0.125, 23)
-    G2 = _single_shift(basis, 0.125, 23)
-    assert np.shares_memory(G1, G2)
-    assert not G1.flags.writeable
-    assert np.array_equal(G1, shift_matrix(basis, 0.125, 23))
-
-
-@pytest.mark.parametrize("basis", ALL_BASES)
 def test_arrival_rows_are_the_accumulate_at_age_zero(basis):
     # each tick absorbed at its own arrival time, including a repeated
     # timestamp and zero-share prints, as the engine absorbs a tape
@@ -406,13 +396,15 @@ def test_arrival_rows_are_the_accumulate_at_age_zero(basis):
     ticks[9] = Tick(ticks[9].t, ticks[9].p, 0.0)
     ticks[10] = Tick(ticks[10].t, ticks[10].p, 0.0)
     t, p, dV = tick_arrays(ticks)
+    # at the basis's largest order count: 49 for laguerre, 149 for the others
+    n = max_model_order(basis)
     for l in range(len(t)):
-        out = np.zeros((5, 23))
+        out = np.zeros((5, 2 * n - 1))
         accumulate_block(t, p, dV, l, l + 1, t[l - 1] if l else t[0], t[l],
                          64.0, basis, out)
         # an empty engine that has seen the tick before l: the step adds
         # tick l's arrival rows to a zero state
-        eng = MomentEngine(basis, 12, 64.0)
+        eng = MomentEngine(basis, n, 64.0)
         eng.last_t = float(t[l - 1]) if l else None
         eng.advance_to(t[l], t, p, dV, l, l + 1)
         assert np.array_equal(eng.raw_rows(), out)
@@ -492,6 +484,8 @@ def _bad_steps(t):
         ("nan price", 3, t[3], 4, ("p", 3, np.nan)),
         ("inf shares", 3, t[4], 5, ("dV", 4, np.inf)),
         ("nan time in a block", 3, t[5], 6, ("t", 4, np.nan)),
+        ("zero price", 3, t[3], 4, ("p", 3, 0.0)),
+        ("negative shares in a block", 3, t[5], 6, ("dV", 4, -3.0)),
         ("p*p*dV overflows", 3, t[3], 4, ("p", 3, 1e200)),
         ("p*p*dV overflows in a block", 3, t[5], 6, ("dV", 4, 1e306)),
         ("columns are None", 3, t[3], 4, ("t p dV", None, lambda c: None)),
@@ -557,6 +551,28 @@ def test_tick_arrays_refuses_malformed_ticks(ticks):
         tick_arrays(ticks)
 
 
+@pytest.mark.parametrize("ticks", [
+    [(0, 100, 10), (1, -5, 10), (2, 100, -3)],
+    [(0, 100, 10), (1, 0.0, 10)],
+    [(0, 100, 10), (1, 100, -1e-300)],
+])
+def test_ticks_with_a_price_not_above_zero_or_negative_shares_are_refused(
+        ticks):
+    # as psima run refuses such a line; read, they once gave a flow
+    # operator with a negative eigenvalue
+    message = "prices must be positive and shares nonnegative"
+    with pytest.raises(InputError, match=message):
+        tick_arrays(ticks)
+    with pytest.raises(InputError, match=message):
+        run_over(ticks, BasisId.SHIFTED_LEGENDRE, 3, 16.0)
+    t, p, dV = (np.array(c, dtype=float) for c in zip(*ticks))
+    eng = MomentEngine(BasisId.SHIFTED_LEGENDRE, 3, 16.0)
+    eng.advance_to(t[0], t, p, dV, 0, 1)
+    with pytest.raises(InputError, match=message):
+        for k in range(1, len(t)):
+            eng.advance_to(t[k], t, p, dV, k, k + 1)
+
+
 @pytest.mark.parametrize("rows", [
     [Tick(1.0, 2.0, 3.0), Tick(4.0, 5.0, 6.0), Tick(7.0, 8.0, 9.0)],
     [Tick(1.0, 2.0, 3.0), Tick(1.5, 5.0, 6.0), Tick(2.0, 8.0, 9.0)],
@@ -574,7 +590,7 @@ def test_tick_arrays_reads_a_tuple_of_ticks_as_rows(rows):
 
 @pytest.mark.parametrize("bad", ["nan time", "inf price", "overflow",
                                  "overflow then nan", "time backwards",
-                                 "backwards then overflow"])
+                                 "backwards then overflow", "negative price"])
 def test_tick_checks_refuse_a_bad_tick_past_a_slice_boundary(bad):
     # the checks run slice by slice; the bad tick is the first of the
     # second slice, and a tape with several faults is refused for its
@@ -594,12 +610,15 @@ def test_tick_checks_refuse_a_bad_tick_past_a_slice_boundary(bad):
     elif bad == "time backwards":
         # falls below the last tick of the slice before it only
         t[_CHECK_SLICE] -= 1.5
+    elif bad == "negative price":
+        p[_CHECK_SLICE] = -50.0
     else:
         t[1] = -1.0
         dV[_CHECK_SLICE] = 1e306
     message = {"overflow": "price \\* price",
                "backwards then overflow": "price \\* price",
-               "time backwards": "nondecreasing"}.get(bad, "must be finite")
+               "time backwards": "nondecreasing",
+               "negative price": "must be positive"}.get(bad, "must be finite")
     with pytest.raises(InputError, match=message):
         tick_arrays((t, p, dV))
     with pytest.raises(InputError, match=message):

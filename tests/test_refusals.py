@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from psima import (BasisId, MeasureKind, PsimaError, Tick, age_tau,
-                   ema_price, evaluate_all, omega, parse_csv, serialize_csv,
-                   x_of_t)
+                   ema_price, evaluate_all, flow, gram, linearization_table,
+                   matrix_from_moments, omega, parse_csv, resample_full,
+                   serialize_csv, weighted, x_of_t)
 
 JUNK = {
     "string": "abc",
@@ -36,6 +37,8 @@ def _rows(tmp_path):
     tape = tmp_path / "tape.csv"
     tape.write_text(TAPE, encoding="utf-8")
     path = str(tmp_path / "out.csv")
+    moments = {kind: resample_full(TICKS, 1.5, 10.0, BasisId.CHEBYSHEV, 5,
+                                   kind) for kind in MeasureKind}
     # (callable, valid arguments, per argument the junk it takes, and the
     # string that stands for it where a string is a valid value)
     return [
@@ -53,11 +56,20 @@ def _rows(tmp_path):
          dict(source={"string"}), dict(source=str(tape))),
         (serialize_csv, dict(ticks=TICKS, dest=io.StringIO()),
          dict(dest={"string"}), dict(dest=path)),
+        (matrix_from_moments,
+         dict(moments=moments[MeasureKind.VOLUME_DV].values, n=3,
+              table=linearization_table(BasisId.CHEBYSHEV, 2)), {}, {}),
+        (gram, dict(moments_time=moments[MeasureKind.TIME_DT], n=3), {}, {}),
+        (flow, dict(moments_volume=moments[MeasureKind.VOLUME_DV], n=3),
+         {}, {}),
+        (weighted, dict(moments_any=moments[MeasureKind.PRICE_VOLUME], n=3),
+         {}, {}),
     ]
 
 
 NAMES = ["x_of_t", "omega", "ema_price", "age_tau", "evaluate_all",
-         "parse_csv", "serialize_csv"]
+         "parse_csv", "serialize_csv", "matrix_from_moments", "gram", "flow",
+         "weighted"]
 
 
 def _row(tmp_path, name):
