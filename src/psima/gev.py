@@ -76,7 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisId, continuum_gram
+from .basis import BasisId, _reals, continuum_gram
 from .errors import DegenerateStateError, EmptyWindowError, InputError
 
 __all__ = ["WaveFunction", "SpectralDecomposition", "solve_pencil", "rayleigh"]
@@ -138,9 +138,19 @@ def _quad(alpha: np.ndarray, M: np.ndarray) -> float:
     return float(alpha @ M @ alpha)
 
 
-def _entries(M) -> np.ndarray:
-    """The matrix of an OperatorMatrix wrapper or of a bare array."""
-    return np.asarray(getattr(M, "entries", M), dtype=np.float64)
+def _entries(M, name: str) -> np.ndarray:
+    """The matrix of an OperatorMatrix wrapper or of a bare array, real
+    numbers, or an InputError naming the argument ``name``."""
+    return _reals(getattr(M, "entries", M), name)
+
+
+def _pencil(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of A and B, refused unless square and of one size."""
+    Af, Bf = _entries(A, "A"), _entries(B, "B")
+    if Af.shape != Bf.shape or Af.ndim != 2 or Af.shape[0] != Af.shape[1]:
+        raise InputError("pencil operators A and B must be square and of "
+                         "one size")
+    return Af, Bf
 
 
 def solve_pencil(A, B, tie_breaker=None) -> SpectralDecomposition:
@@ -152,10 +162,7 @@ def solve_pencil(A, B, tie_breaker=None) -> SpectralDecomposition:
     keeping the indicator glued to the most recent flow structure instead
     of an arbitrary rotation of the eigenspace.
     """
-    Af = _entries(A)
-    Bf = _entries(B)
-    if Af.shape != Bf.shape or Af.ndim != 2 or Af.shape[0] != Af.shape[1]:
-        raise InputError("pencil operators must be square and same size")
+    Af, Bf = _pencil(A, B)
     if not len(Af):
         raise InputError("pencil operators must not be empty")
     basis = getattr(A, "basis", None)
@@ -163,9 +170,9 @@ def solve_pencil(A, B, tie_breaker=None) -> SpectralDecomposition:
         raise InputError("pencil operators must share a basis")
     ops = [Bf, Af]
     if tie_breaker is not None:
-        ops.append(_entries(tie_breaker))
+        ops.append(_entries(tie_breaker, "tie_breaker"))
         if ops[-1].shape != Af.shape:
-            raise InputError("tie-breaker must match the pencil's size")
+            raise InputError("tie_breaker must match the pencil's size")
     if not all(np.isfinite(X).all() for X in ops):
         raise InputError("pencil operators must be finite")
     sol = solve_stack(np.stack(ops)[None], basis)
@@ -454,11 +461,10 @@ def rayleigh(psi, A, B) -> float:
     ``psi`` may be a WaveFunction or a bare coefficient vector; A and B may
     be OperatorMatrix wrappers or bare arrays.
     """
-    alpha = np.asarray(getattr(psi, "alpha", psi), dtype=np.float64)
-    Af = _entries(A)
-    Bf = _entries(B)
-    if alpha.shape[0] != Af.shape[0] or Af.shape != Bf.shape:
-        raise InputError("dimension mismatch in rayleigh quotient")
+    alpha = _reals(getattr(psi, "alpha", psi), "psi")
+    Af, Bf = _pencil(A, B)
+    if alpha.shape != Af.shape[:1]:
+        raise InputError("psi must hold one coefficient per row of A")
     den = _quad(alpha, Bf)
     if den == 0.0:
         raise DegenerateStateError("rayleigh denominator vanished")

@@ -189,8 +189,13 @@ def evaluate_at(t_now: float, engine: MomentEngine) -> IndicatorSample:
     sample, so both give the same bits; the moments overflowing that
     arithmetic are refused as run_over refuses them.
     """
-    if engine.t_now is None or engine.t_now != t_now:
-        raise InputError(f"engine is at t_now={engine.t_now}, asked {t_now}")
+    try:
+        at = engine.t_now
+    except AttributeError:  # a reading pays for no type check
+        raise InputError(f"engine must be a MomentEngine, got "
+                         f"{engine!r}") from None
+    if at is None or at != t_now:
+        raise InputError(f"engine is at t_now={at}, asked {t_now}")
     engine.check_window()
     t_now = float(t_now)
     rows = engine.raw_rows()

@@ -4,12 +4,13 @@ Format: three comma-separated columns ``time,price,shares``, optional
 header on the first nonblank line, UTF-8 with or without a byte-order
 mark, decimal points only. Time is either epoch seconds
 (fractional allowed) or HH:MM:SS[.fff] resolved against an explicit date.
-Rows must be nondecreasing in time; shares may be zero (such prints still
-advance the time measure) but never negative; prices are strictly
-positive. NaN and infinite values are rejected, and so are finite ones
-whose moment terms overflow: a time step t - t_prev or a p^2 dV that is
-not finite. A line that is not valid UTF-8 is rejected too. All
-violations report the offending 1-based line number.
+Each row must pass the package's tick rules (measure._tick_fault):
+finite fields, a price above zero, shares not below zero (a zero-share
+print still advances the time measure), a finite p^2 dV, and a time not
+before the row ahead of it, a finite step after it. A row that breaks one
+is refused with that rule's message, the one the library gives, after
+its 1-based line number; so are a line that is not valid UTF-8, a wrong
+column count and a field that is not a number or a time of day.
 
 parse_rows is the one line parser: it yields each validated line as a
 (t, p, dV) float triple and holds nothing but the previous time.
@@ -20,13 +21,12 @@ the numbers alone (`psima run`) collects them into float columns.
 from __future__ import annotations
 
 import io
-import math
 from datetime import datetime, timezone
 from os import PathLike
 from typing import Iterable, Iterator
 
 from .errors import InputError
-from .measure import Tick
+from .measure import Tick, _tick_fault
 
 __all__ = ["parse_csv", "parse_rows", "serialize_csv"]
 
@@ -145,21 +145,9 @@ def _parse_lines(lines: Iterable[str], date: str | None
             dV = float(vf)
         except ValueError:
             raise InputError(f"line {lineno}: bad number in {line!r}") from None
-        if not all(map(math.isfinite, (t, p, dV))):
-            raise InputError(f"line {lineno}: non-finite value in {line!r}")
-        if not (p > 0.0):
-            raise InputError(f"line {lineno}: price must be positive, got {pf}")
-        if dV < 0.0:
-            raise InputError(f"line {lineno}: shares must be nonnegative, got {vf}")
-        if not math.isfinite(p * p * dV):
-            raise InputError(
-                f"line {lineno}: non-finite price * price * shares in {line!r}")
-        if prev_t is not None and t < prev_t:
-            raise InputError(
-                f"line {lineno}: time went backwards ({t} after {prev_t})")
-        if prev_t is not None and not math.isfinite(t - prev_t):
-            raise InputError(
-                f"line {lineno}: non-finite time step from {prev_t} to {t}")
+        fault = _tick_fault(t, p, dV, prev_t)
+        if fault:
+            raise InputError(f"line {lineno}: {fault}")
         prev_t = t
         yield t, p, dV
 

@@ -30,6 +30,11 @@ Every engine step runs one body (``MomentEngine._step``). A tick absorbed
 at its own arrival time has age 0 and Q_m = 1 in every family, so it adds
 one constant per row and needs no polynomial evaluation. ``advance_steps``
 builds the shift matrices of many steps in one vectorized call.
+
+The tick rules are written once, in ``_tick_fault``: the CSV reader and
+the engine's one-tick step call it per tick, and ``_check_ticks`` finds
+the first bad tick of whole columns and names it by the same call, so
+every path refuses a tape for its first bad tick, in the same words.
 """
 
 from __future__ import annotations
@@ -128,53 +133,61 @@ _NOT_FINITE = "tick times, prices and shares must be finite"
 _SIGN = "tick prices must be positive and shares nonnegative"
 _OVERFLOW = "price * price * shares of a tick must be finite"
 _UNSORTED = "tick times must be nondecreasing"
+_STEP = "the time step from one tick to the next must be finite"
 
 
 def _overflow_at(ts: float) -> str:
     return f"values at sample time {ts!r} overflow the moment arithmetic"
 
 
-def _check_finite(*columns: np.ndarray) -> None:
-    if not all(np.isfinite(c).all() for c in columns):
-        raise InputError(_NOT_FINITE)
+def _tick_fault(t: float, p: float, dV: float,
+                prev: float | None) -> str | None:
+    """The message of the first tick rule that the tick (t, p, dV) breaks
+    after a tick at time ``prev`` (None for a tape's first), or None.
+
+    The rules: finite fields, a price > 0 and shares >= 0, a finite p^2 dV
+    (the largest term a tick adds to the moment rows), a time not before
+    ``prev`` and a finite step from it.
+    """
+    if not (isfinite(t) and isfinite(p) and isfinite(dV)):
+        return _NOT_FINITE
+    if not (p > 0.0 and dV >= 0.0):
+        return _SIGN
+    if not isfinite(p * p * dV):
+        return _OVERFLOW
+    if prev is not None:
+        if t < prev:
+            return _UNSORTED
+        if not isfinite(t - prev):
+            return _STEP
+    return None
 
 
-# ticks per slice of _check_ticks, so its temporaries stay near 1 MB
+# ticks per slice of _check_ticks, so its temporaries stay near 2 MB
 # however long the tape
 _CHECK_SLICE = 1 << 16
 
 
 def _check_ticks(t: np.ndarray, p: np.ndarray, dV: np.ndarray,
                  last_t: float | None = None) -> None:
-    """Refuse ticks with a non-finite field, a price <= 0 or negative
-    shares, a non-finite p^2 dV, or a time before the tick ahead of it or,
-    for the first, before ``last_t``.
-
-    p^2 dV is the largest term a tick adds to the moment rows; where it
-    overflows, the rows and every reading after them would be inf or nan.
-    The checks run over fixed slices of the columns, all fields first,
-    then all signs, then all p^2 dV, then the order, so a tape with
-    several faults gets the refusal of one check over the whole tape.
+    """Refuse the first tick, in tape order, that breaks a rule of
+    _tick_fault, with its message; ``last_t`` is the time of the tick
+    before t[0], if any. One pass over fixed slices finds the tick.
     """
-    cuts = range(0, len(t), _CHECK_SLICE)
-    for a in cuts:
-        b = a + _CHECK_SLICE
-        _check_finite(t[a:b], p[a:b], dV[a:b])
-    for a in cuts:
-        b = a + _CHECK_SLICE
-        if not ((p[a:b] > 0.0).all() and (dV[a:b] >= 0.0).all()):
-            raise InputError(_SIGN)
+    prev = last_t
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in cuts:
-            b = a + _CHECK_SLICE
-            if not np.isfinite(p[a:b] * p[a:b] * dV[a:b]).all():
-                raise InputError(_OVERFLOW)
-    prev = -np.inf if last_t is None else last_t
-    for a in cuts:
-        ts = t[a:a + _CHECK_SLICE]
-        if ts[0] < prev or (ts[1:] < ts[:-1]).any():
-            raise InputError(_UNSORTED)
-        prev = ts[-1]
+        for a in range(0, len(t), _CHECK_SLICE):
+            ts, ps, vs = (c[a:a + _CHECK_SLICE] for c in (t, p, dV))
+            before = np.concatenate(([ts[0] if prev is None else prev],
+                                     ts[:-1]))
+            step = ts - before
+            ok = ((ps > 0.0) & (vs >= 0.0) & (step >= 0.0)
+                  & np.isfinite(ps * ps * vs) & np.isfinite(step))
+            if not ok.all():
+                i = int(ok.argmin())
+                raise InputError(_tick_fault(
+                    *map(float, (ts[i], ps[i], vs[i], before[i]))))
+            prev = ts[-1]
 
 
 def _check_range(t, p, dV, a: int, b: int) -> None:
@@ -310,15 +323,11 @@ class MomentEngine:
         if b > a:
             _check_range(t, p, dV, a, b)
             if b - a == 1:
-                ta, pa, va = float(t[a]), float(p[a]), float(dV[a])
-                if not (isfinite(ta) and isfinite(pa) and isfinite(va)):
-                    raise InputError(_NOT_FINITE)
-                if not (pa > 0.0 and va >= 0.0):
-                    raise InputError(_SIGN)
-                if not isfinite(pa * pa * va):
-                    raise InputError(_OVERFLOW)
-                if self.last_t is not None and ta < self.last_t:
-                    raise InputError(_UNSORTED)
+                ta = float(t[a])
+                fault = _tick_fault(ta, float(p[a]), float(dV[a]),
+                                    self.last_t)
+                if fault:
+                    raise InputError(fault)
             else:
                 _check_ticks(t[a:b], p[a:b], dV[a:b], self.last_t)
                 ta = t[b - 1]
@@ -354,7 +363,8 @@ class MomentEngine:
         times, ends = times.astype(np.float64), ends.astype(np.intp)
         if not len(times):
             return np.empty((0, 5, self.orders))
-        _check_finite(times)
+        if not np.isfinite(times).all():
+            raise InputError(_NOT_FINITE)
         starts = np.concatenate(([i0], ends[:-1]))
         gaps = np.diff(times, prepend=times[0] if self.t_now is None
                        else self.t_now)

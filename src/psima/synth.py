@@ -9,10 +9,11 @@ any implementation language reproduces identical tapes bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import count
 from math import isfinite, log
 
-from .basis import _integer
+from .basis import _integer, _real
 from .errors import InputError
 from .measure import Tick
 
@@ -37,10 +38,14 @@ def _splitmix(seed: int, counter: int) -> float:
     return (z >> 11) * 2.0 ** -53
 
 
-def _check_finite(**args: float) -> None:
-    for name, value in args.items():
+def _finite(**args) -> list[float]:
+    """Each argument as a float, or an InputError naming it: a value that
+    is not a real number, or not a finite one."""
+    out = [_real(value, name) for name, value in args.items()]
+    for name, value in zip(args, out):
         if not isfinite(value):
             raise InputError(f"{name} must be finite, got {value!r}")
+    return out
 
 
 def steady(rate: float, flow: float, price: float, duration: float,
@@ -51,7 +56,8 @@ def steady(rate: float, flow: float, price: float, duration: float,
     so sum(dV) = flow * t_last = integral(flow dt) up to the unfinished
     final gap (one trade's worth).
     """
-    _check_finite(rate=rate, flow=flow, price=price, duration=duration)
+    rate, flow, price, duration = _finite(rate=rate, flow=flow,
+                                          price=price, duration=duration)
     seed = _integer(seed, "seed")
     if rate <= 0 or flow < 0 or price <= 0 or duration <= 0:
         raise InputError("steady needs positive rate, price, duration "
@@ -78,8 +84,12 @@ def spike(base: list[Tick], at: float, magnitude: float, width: float,
     the window is interior. magnitude == 1 returns an identical stream.
     Stacked spikes that would drive flow negative are rejected.
     """
-    _check_finite(at=at, magnitude=magnitude, width=width,
-                  price_shift=price_shift)
+    at, magnitude, width, price_shift = _finite(
+        at=at, magnitude=magnitude, width=width, price_shift=price_shift)
+    if not (isinstance(base, Sequence)
+            and all(isinstance(tk, Tick) for tk in base)):
+        raise InputError(f"base must be a sequence of Ticks, got "
+                         f"{type(base).__name__}")
     if width <= 0:
         raise InputError("spike width must be positive")
     lo, hi = at, at + width

@@ -2,17 +2,20 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psima import (BasisId, cli, indicators, parse_csv, run_blocks, run_over,
-                   serialize_csv)
+from psima import (BasisId, InputError, MeasureKind, MomentEngine, cli,
+                   indicators, parse_csv, resample_full, run_blocks, run_over,
+                   serialize_csv, tick_arrays)
 from psima.synth import spike, steady
 
 HEADER = "t,p_last,P_tau,P_IH,lambda_IH,lambda_IL,T_IH,T_tau,P_aver,effective_n"
@@ -42,7 +45,7 @@ def test_run_emits_expected_header_and_rows(tape):
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
     assert lines[0] == HEADER
-    n_ticks = len(open(tape).read().splitlines()) - 1
+    n_ticks = len(tape.read_text().splitlines()) - 1
     assert len(lines) - 1 == n_ticks
     row = lines[-1].split(",")
     assert len(row) == 10
@@ -104,7 +107,7 @@ def test_non_utf8_input_names_the_line(tmp_path, source):
 def test_byte_order_mark_and_blank_first_line(tape, tmp_path, source, lead):
     # the rows of the tape, whether it begins with a byte-order mark, with
     # a header after a blank line, or both
-    rows = "".join(open(tape).readlines()[1:])
+    rows = "".join(tape.read_text().splitlines(keepends=True)[1:])
     ref = run_cli("run", "--input", str(tape), "--tau", "32")
     body = lead + rows
     path = tmp_path / "lead.csv"
@@ -140,7 +143,7 @@ def test_output_deterministic_across_runs(tape):
 
 
 def test_stdin_matches_file_input(tape):
-    body = open(tape).read()
+    body = tape.read_text()
     via_file = run_cli("run", "--input", str(tape), "--tau", "32")
     via_pipe = run_cli("run", "--input", "-", "--tau", "32", stdin=body)
     assert via_file.returncode == via_pipe.returncode == 0
@@ -164,7 +167,7 @@ def test_grid_sampling(tape):
     steps = [b - a for a, b in zip(ts, ts[1:])]
     assert all(abs(s - 16.0) < 1e-9 for s in steps)
     tape_t = [float(ln.split(",")[0])
-              for ln in open(tape).read().splitlines()[1:]]
+              for ln in tape.read_text().splitlines()[1:]]
     assert ts[0] == tape_t[0]
     assert ts[-1] <= tape_t[-1]
 
@@ -468,3 +471,60 @@ def test_an_output_folder_that_is_missing_exits_2_naming_the_path(tape,
                          "--output", str(out)])
     assert code == 2
     assert f"No such file or directory: '{out}'" in err.getvalue()
+
+
+_FIELDS_MSG = "tick times, prices and shares must be finite"
+_SIGN_MSG = "tick prices must be positive and shares nonnegative"
+_BAD_TAPES = {
+    "a nan field": ([(0, 100, 1), (math.nan, 100, 1), (2, 100, 1)], 2,
+                    _FIELDS_MSG),
+    "a price of 0": ([(0, 100, 1), (1, 0, 1)], 2, _SIGN_MSG),
+    "negative shares": ([(0, 100, 1), (1, 100, -5)], 2, _SIGN_MSG),
+    "a p^2 dV overflow": ([(0, 100, 1), (1, 1e200, 1e200)], 2,
+                          "price * price * shares of a tick must be finite"),
+    "a backwards time": ([(0, 100, 1), (5, 100, 1), (3, 100, 1)], 3,
+                         "tick times must be nondecreasing"),
+    "an infinite step": ([(-1e308, 100, 1), (1e308, 100, 1)], 2,
+                         "the time step from one tick to the next must be "
+                         "finite"),
+    # backwards at line 3, an overflow at line 4: the first bad tick wins
+    "two faults": ([(0, 100, 1), (5, 100, 1), (3, 100, 1),
+                    (6, 1e200, 1e200)], 3, "tick times must be nondecreasing"),
+}
+
+
+@pytest.mark.parametrize("name", _BAD_TAPES)
+def test_the_cli_and_the_library_refuse_a_bad_tick_alike(tmp_path, name):
+    rows, line, message = _BAD_TAPES[name]
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(f"{t!r},{p!r},{v!r}\n" for t, p, v in rows))
+    out = tmp_path / "ind.csv"
+    out.write_text("kept\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--input", str(path), "--n", "2",
+                         "--output", str(out)])
+    assert (code, err.getvalue()) == (2, f"psima: line {line}: {message}\n")
+    assert out.read_text() == "kept\n"
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(InputError, match=f"^line {line}: {re.escape(message)}$"):
+        parse_csv(str(path))
+    with pytest.raises(InputError, match=exact):
+        tick_arrays(rows)
+    with pytest.raises(InputError, match=exact):
+        run_over(rows, BasisId.CHEBYSHEV, 2, 10.0)
+    with pytest.raises(InputError, match=exact):
+        resample_full(rows, 0.0, 10.0, BasisId.CHEBYSHEV, 3,
+                      MeasureKind.TIME_DT)
+    t, p, dV = (np.array(c, dtype=float) for c in zip(*rows))
+    # one tick a step, each at its own time where that time is usable:
+    # ticks before the bad one pass and the bad one is refused
+    eng = MomentEngine(BasisId.CHEBYSHEV, 2, 10.0)
+    for k in range(line - 1):
+        eng.advance_to(t[k], t, p, dV, k, k + 1)
+    at = t[line - 1] if t[line - 1] >= eng.t_now else eng.t_now
+    with pytest.raises(InputError, match=exact):
+        eng.advance_to(at, t, p, dV, line - 1, line)
+    with pytest.raises(InputError, match=exact):
+        MomentEngine(BasisId.CHEBYSHEV, 2, 10.0).advance_steps(
+            [0.0], t, p, dV, 0, [len(t)])

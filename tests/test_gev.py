@@ -128,7 +128,7 @@ def test_empty_operators_are_refused():
 
 def test_tie_breaker_of_another_size_is_refused():
     A, B = _random_pencil(np.random.default_rng(5), 5)
-    with pytest.raises(InputError, match="tie-breaker"):
+    with pytest.raises(InputError, match="tie_breaker"):
         solve_pencil(A, B, tie_breaker=np.eye(4))
 
 

@@ -64,12 +64,15 @@ def test_time_of_day_with_date():
                                  "2,100.0,-inf", "2,100.0,inf",
                                  "2,1e200,1e200"])    # p * p * dV overflows
 def test_non_finite_values_name_the_line(row):
-    with pytest.raises(InputError, match="line 2: non-finite"):
+    message = ("price \\* price \\* shares of a tick" if "e200" in row
+               else "tick times, prices and shares")
+    with pytest.raises(InputError, match=f"^line 2: {message} must be finite$"):
         parse_csv(io.StringIO(f"1,100.0,5\n{row}\n3,101.0,5\n"))
 
 
 def test_overflowing_time_step_names_the_line():
-    with pytest.raises(InputError, match="line 2: non-finite time step"):
+    with pytest.raises(InputError, match="^line 2: the time step from one "
+                                         "tick to the next must be finite$"):
         parse_csv(io.StringIO("-1e308,100.0,5\n1e308,100.0,5\n"))
 
 
@@ -113,7 +116,8 @@ def test_time_of_day_bits_match_the_datetime_sum():
 
 def test_out_of_order_rows_name_the_line():
     body = "0,100,1\n5,100,1\n3,100,1\n"
-    with pytest.raises(InputError, match="line 3"):
+    with pytest.raises(InputError,
+                       match="^line 3: tick times must be nondecreasing$"):
         parse_csv(io.StringIO(body))
 
 
@@ -122,18 +126,21 @@ def test_equal_times_are_allowed():
     assert len(parse_csv(io.StringIO(body))) == 3
 
 
+SIGN = "tick prices must be positive and shares nonnegative$"
+
+
 def test_negative_price_names_the_line():
-    with pytest.raises(InputError, match="line 2"):
+    with pytest.raises(InputError, match=f"^line 2: {SIGN}"):
         parse_csv(io.StringIO("0,100,1\n1,-4,1\n"))
 
 
 def test_zero_price_rejected():
-    with pytest.raises(InputError, match="price"):
+    with pytest.raises(InputError, match=f"^line 1: {SIGN}"):
         parse_csv(io.StringIO("0,0.0,1\n"))
 
 
 def test_negative_shares_names_the_line():
-    with pytest.raises(InputError, match="line 1"):
+    with pytest.raises(InputError, match=f"^line 1: {SIGN}"):
         parse_csv(io.StringIO("0,100,-5\n"))
 
 

@@ -594,8 +594,7 @@ def test_tick_arrays_reads_a_tuple_of_ticks_as_rows(rows):
 def test_tick_checks_refuse_a_bad_tick_past_a_slice_boundary(bad):
     # the checks run slice by slice; the bad tick is the first of the
     # second slice, and a tape with several faults is refused for its
-    # non-finite field first, then for an overflow, then for its order,
-    # as a check over the whole tape refuses it
+    # first bad tick, as the CSV reader refuses it
     n = _CHECK_SLICE + 5
     t, p, dV = np.arange(n, dtype=float), np.full(n, 50.0), np.ones(n)
     if bad == "nan time":
@@ -616,7 +615,8 @@ def test_tick_checks_refuse_a_bad_tick_past_a_slice_boundary(bad):
         t[1] = -1.0
         dV[_CHECK_SLICE] = 1e306
     message = {"overflow": "price \\* price",
-               "backwards then overflow": "price \\* price",
+               "overflow then nan": "price \\* price",
+               "backwards then overflow": "nondecreasing",
                "time backwards": "nondecreasing",
                "negative price": "must be positive"}.get(bad, "must be finite")
     with pytest.raises(InputError, match=message):

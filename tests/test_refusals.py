@@ -15,10 +15,12 @@ import re
 import numpy as np
 import pytest
 
-from psima import (BasisId, MeasureKind, PsimaError, Tick, age_tau,
-                   ema_price, evaluate_all, flow, gram, linearization_table,
-                   matrix_from_moments, omega, parse_csv, resample_full,
-                   serialize_csv, weighted, x_of_t)
+from psima import (BasisId, InputError, MeasureKind, MomentEngine,
+                   PsimaError, Tick, age_tau, ema_price, evaluate_all,
+                   evaluate_at, f_psi, flow, gram, linearization_table,
+                   matrix_from_moments, omega, parse_csv, rayleigh,
+                   resample_full, serialize_csv, solve_pencil, spike, steady,
+                   tick_arrays, weighted, x_of_t)
 
 JUNK = {
     "string": "abc",
@@ -31,6 +33,7 @@ JUNK = {
 
 TAPE = "09:30:00,100.0,10\n09:30:01,101.0,5\n"
 TICKS = [Tick(0.125, 100.0625, 50.0), Tick(1.5, 99.5, 0.0)]
+A, B = np.array([[2.0, 0.5], [0.5, 1.0]]), np.eye(2)
 
 
 def _rows(tmp_path):
@@ -64,12 +67,19 @@ def _rows(tmp_path):
          {}, {}),
         (weighted, dict(moments_any=moments[MeasureKind.PRICE_VOLUME], n=3),
          {}, {}),
+        (solve_pencil, dict(A=A, B=B, tie_breaker=np.eye(2)),
+         dict(tie_breaker={"none"}), {}),
+        (rayleigh, dict(psi=np.array([1.0, 0.5]), A=A, B=B), {}, {}),
+        (steady, dict(rate=1.0, flow=100.0, price=50.0, duration=10.0,
+                      seed=0), {}, {}),
+        (spike, dict(base=TICKS, at=0.5, magnitude=2.0, width=1.0,
+                     price_shift=0.0), {}, {}),
     ]
 
 
 NAMES = ["x_of_t", "omega", "ema_price", "age_tau", "evaluate_all",
          "parse_csv", "serialize_csv", "matrix_from_moments", "gram", "flow",
-         "weighted"]
+         "weighted", "solve_pencil", "rayleigh", "steady", "spike"]
 
 
 def _row(tmp_path, name):
@@ -103,3 +113,33 @@ def test_each_malformed_argument_is_refused_by_name(tmp_path, name):
                 fn(**args)
             assert re.search(rf"\b{arg}\b", str(info.value)), (
                 arg, kind, str(info.value))
+
+
+@pytest.mark.parametrize("kind", JUNK)
+def test_f_psi_refuses_junk_as_rayleigh_does(kind):
+    # f_psi is rayleigh by another name: junk in any place is refused,
+    # and a junk state is named psi
+    for k in range(3):
+        args = [np.array([1.0, 0.5]), A, B]
+        args[k] = JUNK[kind]
+        with pytest.raises(InputError) as info:
+            f_psi(*args)
+        assert k or re.search(r"\bpsi\b", str(info.value))
+
+
+@pytest.mark.parametrize("kind", JUNK)
+def test_evaluate_at_refuses_an_engine_that_is_not_one(kind):
+    engine = MomentEngine(BasisId.CHEBYSHEV, 2, 10.0)
+    t, p, dV = tick_arrays(TICKS)
+    engine.advance_to(1.5, t, p, dV, 0, 2)
+    evaluate_at(1.5, engine)
+    with pytest.raises(InputError, match=r"\bengine\b"):
+        evaluate_at(1.5, JUNK[kind])
+
+
+def test_a_complex_operator_is_refused_not_cast():
+    # the imaginary part was dropped, with only a warning
+    with pytest.raises(InputError, match=r"\bA\b"):
+        solve_pencil(A + 1j, B)
+    with pytest.raises(InputError, match=r"\bB\b"):
+        rayleigh(np.array([1.0, 0.5]), A, B + 1j)
