@@ -105,12 +105,21 @@ def _lags(orders):
 def shift_matrix(basis, d, orders):
     """G with Q_m(x') = sum_i G[m,i] Q_i(x) after the window ages by d*tau.
 
-    Laguerre's g is formed on a Python float, or by the same operations
-    on a 1-d array of gaps, giving shift_matrices' stack with the same
-    bits. The exponential bases take shift_matrices on a stack of one.
+    ``d`` is one gap, a Python float, or a 1-d array of gaps, giving
+    shift_matrices' stack: the same operations run either way, so a gap
+    gives the same bits alone and in a stack. Laguerre forms g by its
+    recurrence. An exponential basis takes T_k(u), k < orders, from
+    chebyshev_values at u = 2 exp(-d) - 1, in [-1, 1] for every d >= 0,
+    and G = T C with the cached table C, one product per gap. Row m stops
+    at column m, and row 0 is exactly e_0 (T_0 = 1), so every order-0
+    moment shifts by the window decay alone.
     """
     if basis is not BasisId.LAGUERRE:
-        return shift_matrices(basis, [d], orders)[0]
+        u = 2.0 * np.exp(-d) - 1.0
+        T = np.ascontiguousarray(chebyshev_values(orders, u).T)
+        # rows of T.T as strided views round differently in the product
+        G = np.matmul(T.reshape(-1, 1, orders), _table(basis, orders))
+        return G.reshape(u.shape + (orders, orders))
     a, b = d * 0.0 + 1.0, d * 0.0  # L^{(1)}_{j-1}(d), L^{(1)}_{j-2}(d)
     g = [a]
     for j, j2 in _factors(orders):
@@ -147,19 +156,5 @@ def _table(basis, orders):
 
 
 def shift_matrices(basis, d, orders):
-    """Stack of shift_matrix(basis, d[k], orders), one per gap.
-
-    Laguerre runs shift_matrix's closed form on the array of gaps. An
-    exponential basis takes T_k(u), k < orders, from chebyshev_values at
-    u = 2 exp(-d) - 1, in [-1, 1] for every d >= 0, and G = T C with the
-    cached table C, one product per gap. Row m stops at column m, and
-    row 0 is exactly e_0 (T_0 = 1), so every order-0 moment shifts by the
-    window decay alone.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    if basis is BasisId.LAGUERRE:
-        return shift_matrix(basis, d, orders)
-    T = chebyshev_values(orders, 2.0 * np.exp(-d) - 1.0)
-    # rows of T.T as strided views round differently in the product
-    G = np.matmul(np.ascontiguousarray(T.T)[:, None], _table(basis, orders))
-    return G.reshape(len(d), orders, orders)
+    """Stack of shift_matrix(basis, d[k], orders), one per gap."""
+    return shift_matrix(basis, np.asarray(d, dtype=np.float64), orders)

@@ -195,11 +195,18 @@ def chebyshev_values(n: int, u: np.ndarray) -> np.ndarray:
     operation is elementwise, so a point's values do not depend on the
     other points. ``u`` is not checked: callers pass 2x - 1, x in [0, 1].
     """
-    k = np.arange(n, dtype=np.float64).reshape((n,) + (1,) * u.ndim)
-    out = np.cos(k * np.arccos(u))
+    out = np.cos(_orders_column(n, u.ndim) * np.arccos(u))
     if n > 1:
         out[1] = u
     return out
+
+
+@lru_cache(maxsize=None)
+def _orders_column(n: int, ndim: int) -> np.ndarray:
+    # 0..n-1 as floats, shaped (n,) + (1,) * ndim to broadcast over u
+    k = np.arange(n, dtype=np.float64).reshape((n,) + (1,) * ndim)
+    k.flags.writeable = False
+    return k
 
 
 @lru_cache(maxsize=None)
@@ -326,8 +333,16 @@ class LinearizationTable:
         return F
 
 
-@lru_cache(maxsize=None)
 def linearization_table(basis: BasisId, n_max: int) -> LinearizationTable:
+    """Every c_m^{jk}, j, k <= n_max, built once per basis and n_max."""
+    try:
+        return _linearization_table(basis, n_max)
+    except TypeError:  # an unhashable argument misses; the build refuses it
+        return _linearization_table.__wrapped__(basis, n_max)
+
+
+@lru_cache(maxsize=None)
+def _linearization_table(basis: BasisId, n_max: int) -> LinearizationTable:
     bound = _order_bound(basis)
     n_max = _integer(n_max, "n_max")
     if not 0 <= n_max <= bound:
@@ -340,6 +355,10 @@ def linearization_table(basis: BasisId, n_max: int) -> LinearizationTable:
             coeffs[j, k, :j + k + 1] = coeffs[k, j, :j + k + 1] = (
                 linearization(basis, j, k))
     return LinearizationTable(basis=basis, n_max=n_max, coeffs=coeffs)
+
+
+# the build without the cache, as lru_cache exposes it
+linearization_table.__wrapped__ = _linearization_table.__wrapped__
 
 
 def matrix_from_moments(moments, n: int, table: LinearizationTable) -> np.ndarray:

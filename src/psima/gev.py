@@ -66,6 +66,14 @@ between the extreme eigenvalues of M times G_ii, so a Gram that passes
 has a positive diagonal whose smallest-to-largest ratio is at least
 1/KAPPA_CAP times G's: over 6.7e-8 for Legendre at 75 orders. Only a
 bare pencil, which whitens by its own diagonal, tests it (_resolved).
+
+Both eigensolves call the LAPACK gufunc under np.linalg.eigh (_eigh), so
+a failure follows numpy's error state instead of raising LinAlgError: on
+success the gufunc clears the float flags, and a failed eigensolve gives
+nan and sets the invalid flag. A reading computes with float errors
+raised (indicators), so there it raises FloatingPointError and the
+reading is refused. Under the default error state, as solve_pencil runs,
+it warns, and the gates read the nan as unresolved: the dimension drops.
 """
 
 from __future__ import annotations
@@ -75,6 +83,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .basis import BasisId, _reals, continuum_gram
 from .errors import DegenerateStateError, EmptyWindowError, InputError
@@ -134,22 +143,19 @@ class PencilStack(NamedTuple):
     forms: np.ndarray         # (K, k)
 
 
-def _quad(alpha: np.ndarray, M: np.ndarray) -> float:
-    return float(alpha @ M @ alpha)
-
-
 def _entries(M, name: str) -> np.ndarray:
     """The matrix of an OperatorMatrix wrapper or of a bare array, real
     numbers, or an InputError naming the argument ``name``."""
     return _reals(getattr(M, "entries", M), name)
 
 
-def _pencil(A, B) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices of A and B, refused unless square and of one size."""
-    Af, Bf = _entries(A, "A"), _entries(B, "B")
+def _pencil(A, B, names=("A", "B")) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of A and B, refused unless square and of one size;
+    ``names`` are the arguments they were passed as."""
+    Af, Bf = _entries(A, names[0]), _entries(B, names[1])
     if Af.shape != Bf.shape or Af.ndim != 2 or Af.shape[0] != Af.shape[1]:
-        raise InputError("pencil operators A and B must be square and of "
-                         "one size")
+        raise InputError("pencil operators {} and {} must be square and of "
+                         "one size".format(*names))
     return Af, Bf
 
 
@@ -310,7 +316,7 @@ def _solve_dim(ops, basis):
     W = X / np.sqrt(lam)[:, :, None]
     Wt = W.swapaxes(-1, -2)
     S = W @ ops[:, 1] @ Wt
-    w, U = np.linalg.eigh(0.5 * (S + S.swapaxes(-1, -2)))
+    w, U = _eigh(0.5 * (S + S.swapaxes(-1, -2)))
     alphas = Wt @ U
 
     # verify the quality bounds consumers rely on; a dimension that
@@ -387,13 +393,19 @@ def _resolved(B: np.ndarray, basis: BasisId | None, m: int):
         ok = (dlo > 0.0) & (dlo >= PIVOT_RTOL * d.max(axis=1))
     else:
         W0 = _ideal_whitener(basis, m)
-    lam, V = np.linalg.eigh(W0 @ B @ W0.swapaxes(-1, -2))
+    lam, V = _eigh(W0 @ B @ W0.swapaxes(-1, -2))
     lo, hi = lam[:, 0], lam[:, -1]
     if basis is None:
         ok &= (lo > 0.0) & (lo >= PIVOT_RTOL * hi)
     else:
         ok = (lo > 0.0) & (hi <= KAPPA_CAP * lo)
     return ok, lam, V.swapaxes(-1, -2) @ W0
+
+
+def _eigh(a: np.ndarray):
+    # np.linalg.eigh(a) of a float64 stack without its wrapper; a row
+    # whose eigensolve fails is nan (see the module docstring)
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
 
 
 def _probe_forms(X: np.ndarray, basis: BasisId, m: int) -> np.ndarray:
@@ -443,15 +455,15 @@ def _pick_top(w: np.ndarray, D: np.ndarray) -> np.ndarray:
     tied = w >= top - TIE_RTOL * np.abs(top)
     if not np.count_nonzero(tied[:, -2]):
         return None
-    # age reading <psi|T|psi>/<psi|A|psi> of each state (column), inf for
-    # a state that reads no volume. A row without a tie has one tied
-    # state, its last, so every row is picked by the same steps.
-    num, den = D[:, 2], D[:, 1]
-    has_volume = den > 0.0
-    ages = np.where(has_volume, num / np.where(has_volume, den, 1.0), np.inf)
+    # age reading <psi|T|psi>/<psi|A|psi> of each tied state (column),
+    # inf for an untied state or one that reads no volume. A row without
+    # a tie has one tied state, its last, so every row is picked by the
+    # same steps.
+    ages = np.divide(D[:, 2], D[:, 1], out=np.full(w.shape, np.inf),
+                     where=tied & (D[:, 1] > 0.0))
     # first tied state of least age; the first tied one if all read inf,
     # where argmin gives the first state of the row
-    pick = np.where(tied, ages, np.inf).argmin(axis=1)
+    pick = ages.argmin(axis=1)
     return np.maximum(pick, m - tied.sum(axis=1))
 
 
@@ -461,11 +473,17 @@ def rayleigh(psi, A, B) -> float:
     ``psi`` may be a WaveFunction or a bare coefficient vector; A and B may
     be OperatorMatrix wrappers or bare arrays.
     """
+    return _quotient(psi, A, B, ("A", "B"))
+
+
+def _quotient(psi, A, B, names: tuple[str, str]) -> float:
+    """rayleigh, refusing A and B by the argument names ``names``."""
     alpha = _reals(getattr(psi, "alpha", psi), "psi")
-    Af, Bf = _pencil(A, B)
+    Af, Bf = _pencil(A, B, names)
     if alpha.shape != Af.shape[:1]:
-        raise InputError("psi must hold one coefficient per row of A")
-    den = _quad(alpha, Bf)
+        raise InputError(f"psi must hold one coefficient per row of "
+                         f"{names[0]}")
+    den = float(alpha @ Bf @ alpha)
     if den == 0.0:
         raise DegenerateStateError("rayleigh denominator vanished")
-    return _quad(alpha, Af) / den
+    return float(alpha @ Af @ alpha) / den

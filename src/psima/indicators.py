@@ -33,7 +33,7 @@ import numpy as np
 from .basis import (BasisId, _real, _reals, linearization_table,
                     matrix_from_moments)
 from .errors import DegenerateStateError, InputError, NoVolumeError
-from .gev import WaveFunction, rayleigh, solve_stack
+from .gev import WaveFunction, _quotient, solve_stack
 from .measure import PRUNE_HORIZON, MomentEngine, tick_arrays
 
 __all__ = [
@@ -94,7 +94,7 @@ def age_tau(moments_age, moments_volume) -> float:
 
 def f_psi(psi: WaveFunction, M_num, M_den) -> float:
     """<psi|f|psi>/<psi|I|psi> as a ratio of quadratic forms."""
-    return rayleigh(psi, M_num, M_den)
+    return _quotient(psi, M_num, M_den, ("M_num", "M_den"))
 
 
 # Samples per batched block of run_over: bounds the shift-matrix, moment
@@ -194,8 +194,12 @@ def evaluate_at(t_now: float, engine: MomentEngine) -> IndicatorSample:
     except AttributeError:  # a reading pays for no type check
         raise InputError(f"engine must be a MomentEngine, got "
                          f"{engine!r}") from None
-    if at is None or at != t_now:
-        raise InputError(f"engine is at t_now={at}, asked {t_now}")
+    try:
+        if at is None or at != t_now:
+            raise InputError(f"engine is at t_now={at}, asked {t_now}")
+    except ValueError:  # an array of several times has no truth value
+        raise InputError(f"t_now must be a real number, got "
+                         f"{t_now!r}") from None
     engine.check_window()
     t_now = float(t_now)
     rows = engine.raw_rows()

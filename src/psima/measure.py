@@ -134,6 +134,7 @@ _SIGN = "tick prices must be positive and shares nonnegative"
 _OVERFLOW = "price * price * shares of a tick must be finite"
 _UNSORTED = "tick times must be nondecreasing"
 _STEP = "the time step from one tick to the next must be finite"
+_SAMPLE_TIME = "sample times (t_new, times) must be finite"
 
 
 def _overflow_at(ts: float) -> str:
@@ -195,8 +196,10 @@ def _check_range(t, p, dV, a: int, b: int) -> None:
     if not (isinstance(t, np.ndarray) and isinstance(p, np.ndarray)
             and isinstance(dV, np.ndarray)
             and t.ndim == p.ndim == dV.ndim == 1):
-        raise InputError("tick columns must be 1-d numpy arrays, as "
-                         "tick_arrays returns")
+        name = next(k for k, c in (("t", t), ("p", p), ("dV", dV))
+                    if not (isinstance(c, np.ndarray) and c.ndim == 1))
+        raise InputError(f"tick column {name} must be a 1-d numpy array, "
+                         f"as tick_arrays returns")
     if not len(t) == len(p) == len(dV):
         raise InputError("tick columns differ in length")
     if a < 0 or b > len(t):
@@ -254,7 +257,7 @@ def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
     tau = _check_tau(tau)
     t_now = _real(t_now, "t_now")
     if not isfinite(t_now):
-        raise InputError(_NOT_FINITE)
+        raise InputError(f"t_now must be finite, got {t_now!r}")
     t, p, dV = tick_arrays(ticks)
     idx = int(np.searchsorted(t, t_now, side="right"))
     if idx == 0:
@@ -314,7 +317,7 @@ class MomentEngine:
         ts = _real(t_new, "t_new")
         a, b = _integer(i0, "i0"), _integer(i1, "i1")
         if not isfinite(ts):
-            raise InputError(_NOT_FINITE)
+            raise InputError(_SAMPLE_TIME)
         gap = 0.0 if self.t_now is None else ts - self.t_now
         if gap < 0:
             raise InputError("engine time must be nondecreasing")
@@ -364,7 +367,7 @@ class MomentEngine:
         if not len(times):
             return np.empty((0, 5, self.orders))
         if not np.isfinite(times).all():
-            raise InputError(_NOT_FINITE)
+            raise InputError(_SAMPLE_TIME)
         starts = np.concatenate(([i0], ends[:-1]))
         gaps = np.diff(times, prepend=times[0] if self.t_now is None
                        else self.t_now)

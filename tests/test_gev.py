@@ -1,11 +1,14 @@
+import types
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import make_stream, regular_stream
 from psima import (BasisId, DegenerateStateError, EmptyWindowError,
-                   InputError, MeasureKind, MomentEngine, evaluate_at, flow,
-                   gram, rayleigh, solve_pencil, tick_arrays)
+                   InputError, MeasureKind, MomentEngine, PsimaError,
+                   evaluate_at, flow, gram, rayleigh, run_blocks,
+                   solve_pencil, tick_arrays)
 from psima.basis import (continuum_gram, linearization_table,
                          matrix_from_moments, max_model_order)
 from psima import gev
@@ -580,3 +583,130 @@ def test_picks_match_a_brute_force_pick_on_a_mixed_stack():
     # the tied rows went to the tie-break, and not all to the last state
     assert sol.i_IH[[1, 2, 4]].tolist() != [n - 1] * 3
     assert sol.i_IH[5] == 0
+
+
+def _symmetric_stacks(rng, K, m):
+    # random symmetric matrices, and the same with tied spectra: three
+    # equal eigenvalues at the top and two at the bottom
+    R = rng.standard_normal((K, m, m))
+    Q = np.linalg.qr(rng.standard_normal((K, m, m)))[0]
+    lam = np.sort(rng.standard_normal((K, m)), axis=1)
+    lam[:, -3:] = lam[:, -1:]
+    lam[:, :2] = lam[:, :1]
+    tied = (Q * lam[:, None, :]) @ Q.swapaxes(-1, -2)
+    return R + R.swapaxes(-1, -2), tied
+
+
+@pytest.mark.parametrize("K", [0, 1, 7, 256])
+def test_eigh_is_numpys_eigh_bit_for_bit(K):
+    # the readings' eigensolves skip np.linalg.eigh's wrapper, not its
+    # LAPACK call; eigh reads the lower triangle, so junk above it is read
+    # by neither
+    rng = np.random.default_rng(K)
+    for m in range(1, 13):
+        for S in _symmetric_stacks(rng, K, m) + (
+                np.tril(rng.standard_normal((K, m, m))),):
+            w, V = gev._eigh(S)
+            want = np.linalg.eigh(S)
+            for got, ref in zip((w, V), want):
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes(), (K, m)
+
+
+def test_eigh_fails_where_numpys_eigh_fails():
+    # finite matrices scaled entry by entry over the whole float range:
+    # LAPACK fails on a few (row 15 of this stack under OpenBLAS), where
+    # np.linalg.eigh raises LinAlgError and _eigh gives nan with the
+    # invalid flag set; every other row has the same bits
+    rng = np.random.default_rng(68)
+    M = (rng.uniform(-1.0, 1.0, (64, 12, 12))
+         * 10.0 ** rng.uniform(-308.0, 308.0, (64, 12, 12)))
+    M = np.tril(M) + np.tril(M, -1).swapaxes(-1, -2)
+    assert np.isfinite(M).all()
+    with np.errstate(invalid="ignore"):
+        w, V = gev._eigh(M)
+    failed = []
+    for k in range(len(M)):
+        try:
+            ref = np.linalg.eigh(M[k])
+        except np.linalg.LinAlgError:
+            failed.append(k)
+            continue
+        assert w[k].tobytes() == ref[0].tobytes()
+        assert V[k].tobytes() == ref[1].tobytes()
+    assert np.flatnonzero(np.isnan(w).any(axis=1)).tolist() == failed
+    assert np.isnan(w[failed]).all() and np.isnan(V[failed]).all()
+    # a success clears the flags, so raised float errors stop only a failure
+    ok = np.delete(M, failed, axis=0)
+    with np.errstate(all="raise"):
+        gev._eigh(ok)
+        if failed:
+            with pytest.raises(FloatingPointError):
+                gev._eigh(M)
+
+
+def _tape(n_ticks=300):
+    return tick_arrays(make_stream(21, n_ticks))
+
+
+def test_a_reading_and_a_block_call_no_numpy_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    t, p, dV = _tape()
+    for basis in BasisId:
+        samples, _ = next(run_blocks((t, p, dV), basis, 4, 64.0))
+        assert len(samples) > 200
+        eng = MomentEngine(basis, 4, 64.0)
+        eng.advance_to(t[-1], t, p, dV, 0, len(t))
+        assert evaluate_at(float(t[-1]), eng).effective_n == 4
+
+
+def _failing_eigh(monkeypatch, fails):
+    """Make the eigensolves whose call numbers ``fails`` holds (all where
+    None) fail as LAPACK does: nan out, and the invalid flag set."""
+    eigh_lo = gev._umath_linalg.eigh_lo
+    calls = []
+
+    def failing(a, signature):
+        w, V = eigh_lo(a, signature=signature)
+        calls.append(len(calls))
+        if fails is None or calls[-1] in fails:
+            w[...] = V[...] = np.nan
+            np.subtract(np.inf, np.inf)  # raises or warns as errstate says
+        return w, V
+
+    monkeypatch.setattr(gev, "_umath_linalg",
+                        types.SimpleNamespace(eigh_lo=failing))
+    return calls
+
+
+def test_a_failed_eigensolve_refuses_the_reading(monkeypatch):
+    t, p, dV = _tape()
+    eng = MomentEngine(BasisId.SHIFTED_LEGENDRE, 4, 64.0)
+    eng.advance_to(t[-1], t, p, dV, 0, len(t))
+    _failing_eigh(monkeypatch, None)
+    with pytest.raises(InputError, match="overflow the moment arithmetic"):
+        evaluate_at(float(t[-1]), eng)
+    with pytest.raises(InputError, match="overflow the moment arithmetic"):
+        next(run_blocks((t, p, dV), BasisId.SHIFTED_LEGENDRE, 4, 64.0))
+
+
+@pytest.mark.parametrize("fails", [{0}, {1}, {0, 2}, {1, 3}, None])
+def test_solve_pencil_drops_a_dimension_whose_eigensolve_fails(
+        monkeypatch, fails):
+    # call 0 is the gate's eigensolve at n = 5, call 1 the pencil's; a
+    # failure warns, and the pencil solves one dimension lower, or not at
+    # all, never with nan fields
+    A, B = _random_pencil(np.random.default_rng(4), 5, b_floor=5.0)
+    calls = _failing_eigh(monkeypatch, fails)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        try:
+            dec = solve_pencil(A, B)
+        except PsimaError:
+            assert fails is None
+            return
+    assert dec.effective_n == 5 - len(fails) and len(calls) > 2
+    assert np.isfinite(dec.lambdas).all()
+    assert all(np.isfinite(s.alpha).all() for s in dec.states)

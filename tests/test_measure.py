@@ -107,6 +107,23 @@ def test_resample_rejects_disorder_and_bad_orders():
 
 
 @pytest.mark.parametrize("t_now", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_sample_time_is_refused_by_its_name(t_now):
+    # once refused with the bad-tick words "tick times, prices and shares
+    # must be finite", on an engine that had absorbed no tick
+    eng = MomentEngine(BasisId.CHEBYSHEV, 2, 10.0)
+    message = r"^sample times \(t_new, times\) must be finite$"
+    with pytest.raises(InputError, match=message):
+        eng.advance_to(t_now)
+    with pytest.raises(InputError, match=message):
+        eng.advance_steps([t_now], np.empty(0), np.empty(0), np.empty(0),
+                          0, [0])
+    with pytest.raises(InputError, match=rf"^t_now must be finite, got "
+                                         rf"{t_now!r}$"):
+        resample_full([Tick(1.0, 100.0, 5.0)], t_now, 50.0,
+                      BasisId.CHEBYSHEV, 3, MeasureKind.VOLUME_DV)
+
+
+@pytest.mark.parametrize("t_now", [np.nan, np.inf, -np.inf])
 def test_resample_refuses_a_non_finite_t_now(t_now):
     # nan and +inf once read as empty windows past the horizon (all-zero
     # moments), -inf as a window before the first tick
@@ -315,6 +332,15 @@ def test_block_shift_builder_is_the_scalar_builder_bit_for_bit(basis):
     # and so does a stack of every size up to 17, and a larger one
     for a, b in [(7, 7 + k) for k in range(1, 18)] + [(0, 7), (100, 229)]:
         assert np.array_equal(shift_matrices(basis, d[a:b], 23), block[a:b])
+    # tape-like gaps, one and two ticks a second at tau 256, in the blocks
+    # of 256 that run_over builds
+    rng = np.random.default_rng(9)
+    d = np.concatenate((rng.exponential(1 / 256, 5120),
+                        rng.exponential(1 / 512, 5120)))
+    for a in range(0, len(d), 256):
+        block = shift_matrices(basis, d[a:a + 256], 23)
+        for k, dk in enumerate(d[a:a + 256].tolist()):
+            assert block[k].tobytes() == shift_matrix(basis, dk, 23).tobytes()
 
 
 # gaps in tau units: none, tiny, under one tau, past the prune horizon

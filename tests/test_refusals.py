@@ -1,11 +1,15 @@
 """One refusal contract: a malformed argument raises a PsimaError naming it.
 
-Each row is one valid call of a public callable. Every argument is then
-replaced in turn by junk: a string, None, a complex number, nan, an array
-of the wrong shape and an enum member of the wrong kind. Each such call
-must raise a PsimaError subclass whose message names the argument, or
-succeed as it does with the junk the row lists as a value the argument
-takes (nan is a real number; a string names a path).
+Each row is one valid call of a public callable, the engine's methods on
+an engine that has absorbed a tape. Every argument is then replaced in
+turn by junk: a string, None, a complex number, nan, an array of the
+wrong shape and an enum member of the wrong kind. Each such call must
+raise a PsimaError subclass whose message names the argument, or succeed
+as it does with the junk the row lists as a value the argument takes (nan
+is a real number; a string names a path; None asks for per-tick
+sampling). Where a junk kind is a valid value of the argument, the row
+gives a stand-in of that kind: a path for a string, and for a tape a
+(2, 4) array, since a (2, 3) one is a tape of two ticks.
 """
 
 import inspect
@@ -17,10 +21,12 @@ import pytest
 
 from psima import (BasisId, InputError, MeasureKind, MomentEngine,
                    PsimaError, Tick, age_tau, ema_price, evaluate_all,
-                   evaluate_at, f_psi, flow, gram, linearization_table,
-                   matrix_from_moments, omega, parse_csv, rayleigh,
-                   resample_full, serialize_csv, solve_pencil, spike, steady,
-                   tick_arrays, weighted, x_of_t)
+                   evaluate_at, f_psi, flow, gram, linearization,
+                   linearization_table, matrix_from_moments,
+                   max_model_order, omega, parse_csv, rayleigh,
+                   resample_full, run_blocks, run_over, serialize_csv,
+                   solve_pencil, spike, steady, tick_arrays, uniform01,
+                   weighted, x_of_t)
 
 JUNK = {
     "string": "abc",
@@ -34,6 +40,16 @@ JUNK = {
 TAPE = "09:30:00,100.0,10\n09:30:01,101.0,5\n"
 TICKS = [Tick(0.125, 100.0625, 50.0), Tick(1.5, 99.5, 0.0)]
 A, B = np.array([[2.0, 0.5], [0.5, 1.0]]), np.eye(2)
+# a tape's wrong shape: a (2, 3) array is two ticks
+NOT_A_TAPE = {"shape": np.zeros((2, 4))}
+
+
+def _positioned():
+    # an engine that has absorbed TICKS, at the last one's time
+    engine = MomentEngine(BasisId.CHEBYSHEV, 2, 10.0)
+    t, p, dV = tick_arrays(TICKS)
+    engine.advance_to(1.5, t, p, dV, 0, 2)
+    return engine
 
 
 def _rows(tmp_path):
@@ -42,8 +58,11 @@ def _rows(tmp_path):
     path = str(tmp_path / "out.csv")
     moments = {kind: resample_full(TICKS, 1.5, 10.0, BasisId.CHEBYSHEV, 5,
                                    kind) for kind in MeasureKind}
-    # (callable, valid arguments, per argument the junk it takes, and the
-    # string that stands for it where a string is a valid value)
+    # the columns of TICKS and one more tick, which the engine rows absorb
+    t, p, dV = tick_arrays(TICKS + [Tick(2.0, 101.0, 3.0)])
+    cols = dict(t=t, p=p, dV=dV)
+    # (callable, valid arguments, per argument the junk it takes, and per
+    # argument the stand-ins for junk kinds that are valid values of it)
     return [
         (x_of_t, dict(basis=BasisId.LAGUERRE, t=90.0, t_now=100.0, tau=10.0),
          dict(t={"nan", "shape"}, t_now={"nan"}), {}),
@@ -56,9 +75,9 @@ def _rows(tmp_path):
         (evaluate_all, dict(basis=BasisId.CHEBYSHEV, n=3, x=0.5),
          dict(x={"shape"}), {}),
         (parse_csv, dict(source=io.StringIO(TAPE), date="2024-03-05"),
-         dict(source={"string"}), dict(source=str(tape))),
+         dict(source={"string"}), dict(source={"string": str(tape)})),
         (serialize_csv, dict(ticks=TICKS, dest=io.StringIO()),
-         dict(dest={"string"}), dict(dest=path)),
+         dict(dest={"string"}), dict(dest={"string": path})),
         (matrix_from_moments,
          dict(moments=moments[MeasureKind.VOLUME_DV].values, n=3,
               table=linearization_table(BasisId.CHEBYSHEV, 2)), {}, {}),
@@ -74,12 +93,42 @@ def _rows(tmp_path):
                       seed=0), {}, {}),
         (spike, dict(base=TICKS, at=0.5, magnitude=2.0, width=1.0,
                      price_shift=0.0), {}, {}),
+        (f_psi, dict(psi=np.array([1.0, 0.5]), M_num=A, M_den=B), {}, {}),
+        (linearization, dict(basis=BasisId.SHIFTED_LEGENDRE, j=2, k=3),
+         {}, {}),
+        (linearization_table, dict(basis=BasisId.CHEBYSHEV, n_max=3), {},
+         {}),
+        (max_model_order, dict(basis=BasisId.LAGUERRE), {}, {}),
+        (resample_full, dict(ticks=TICKS, t_now=1.5, tau=10.0,
+                             basis=BasisId.CHEBYSHEV, orders=5,
+                             measure=MeasureKind.VOLUME_DV),
+         dict(measure={"enum"}), dict(ticks=NOT_A_TAPE)),
+        (tick_arrays, dict(ticks=TICKS), {}, dict(ticks=NOT_A_TAPE)),
+        (run_over, dict(ticks=TICKS, basis=BasisId.CHEBYSHEV, n=2, tau=10.0,
+                        grid=0.5),
+         dict(grid={"none"}), dict(ticks=NOT_A_TAPE)),
+        (run_blocks, dict(ticks=TICKS, basis=BasisId.CHEBYSHEV, n=2,
+                          tau=10.0, grid=0.5),
+         dict(grid={"none"}), dict(ticks=NOT_A_TAPE)),
+        (uniform01, dict(seed=3, counter=4), {}, {}),
+        (MomentEngine, dict(basis=BasisId.CHEBYSHEV, n=2, tau=10.0), {}, {}),
+        (evaluate_at, dict(t_now=1.5, engine=_positioned()), {}, {}),
+        (_positioned().advance_to, dict(t_new=2.0, **cols, i0=2, i1=3), {},
+         {}),
+        (_positioned().advance_steps, dict(times=np.array([2.0]), **cols,
+                                           i0=2, ends=np.array([3])), {}, {}),
+        (_positioned().moments, dict(measure=MeasureKind.VOLUME_DV),
+         dict(measure={"enum"}), {}),
     ]
 
 
 NAMES = ["x_of_t", "omega", "ema_price", "age_tau", "evaluate_all",
          "parse_csv", "serialize_csv", "matrix_from_moments", "gram", "flow",
-         "weighted", "solve_pencil", "rayleigh", "steady", "spike"]
+         "weighted", "solve_pencil", "rayleigh", "steady", "spike", "f_psi",
+         "linearization", "linearization_table", "max_model_order",
+         "resample_full", "tick_arrays", "run_over", "run_blocks",
+         "uniform01", "MomentEngine", "evaluate_at", "advance_to",
+         "advance_steps", "moments"]
 
 
 def _row(tmp_path, name):
@@ -89,19 +138,19 @@ def _row(tmp_path, name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_the_row_names_every_argument(tmp_path, name):
-    fn, valid, takes, strings = _row(tmp_path, name)
+    fn, valid, takes, stand_ins = _row(tmp_path, name)
     assert list(valid) == list(inspect.signature(fn).parameters)
-    assert set(takes) | set(strings) <= set(valid)
+    assert set(takes) | set(stand_ins) <= set(valid)
+    assert all(set(kinds) <= set(JUNK) for kinds in stand_ins.values())
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_each_malformed_argument_is_refused_by_name(tmp_path, name):
-    fn, valid, takes, strings = _row(tmp_path, name)
+    fn, valid, takes, stand_ins = _row(tmp_path, name)
     fn(**valid)
     for arg in valid:
         for kind, junk in JUNK.items():
-            if kind == "string":
-                junk = strings.get(arg, junk)
+            junk = stand_ins.get(arg, {}).get(kind, junk)
             args = dict(valid, **{arg: junk})
             for k, v in args.items():  # a stream is read once
                 if isinstance(v, io.StringIO):
