@@ -9,11 +9,12 @@ Moment state is a (5, M) array whose rows are the window moments
     4: <Q_m p^2 I>  against omega * p^2 dV  (variance column)
 
 with M = 2n-1 polynomial orders. A tick older than PRUNE_HORIZON tau
-(36.84 tau, where omega reaches 1e-16) is pruned, by this age test alone.
+(36.84 tau, where omega reaches 1e-16) is pruned; ``pruned`` is that age
+test, and every site that prunes calls it.
 
-shift_matrices works on one matrix per gap along the leading axis, so a
-whole block of samples costs one call; shift_matrix builds a single one,
-equal bit for bit to its matrix in a stack.
+shift_matrix takes one gap or a 1-d array of gaps, one matrix per gap
+along the leading axis, so a whole block of samples costs one call; a
+gap's matrix is the same bits alone and in a stack.
 
 The exponential bases scale their argument by s = exp(-d), and Q_m(s x)
 has degree m in x, so G = Q(s X) Q(X)^-1 at any ``orders`` distinct nodes
@@ -50,11 +51,17 @@ from .basis import BasisId, chebyshev_values, evaluate_all
 PRUNE_HORIZON = -math.log(1e-16)
 
 
+def pruned(age, tau):
+    """Whether a tick ``age`` seconds old lies past the prune horizon: a
+    Python bool for a float age, a boolean array for an array of ages."""
+    return age > PRUNE_HORIZON * tau
+
+
 def accumulate_block(t, p, dV, i0, i1, t_prev0, t_now, tau, basis, out):
     """Add ticks i0..i1-1, weighted at reference time t_now, to ``out``.
 
     ``t_prev0`` is the time of the tick before i0, which sets the first
-    tick's dt. Ticks older than PRUNE_HORIZON * tau add nothing.
+    tick's dt. Pruned ticks add nothing.
     """
     if i1 <= i0:
         return
@@ -64,7 +71,7 @@ def accumulate_block(t, p, dV, i0, i1, t_prev0, t_now, tau, basis, out):
     dt[0] = tt[0] - t_prev0
     if i1 - i0 > 1:
         dt[1:] = tt[1:] - tt[:-1]
-    keep = age <= PRUNE_HORIZON * tau
+    keep = ~pruned(age, tau)
     if not np.any(keep):
         return
     agek = age[keep]
@@ -105,9 +112,9 @@ def _lags(orders):
 def shift_matrix(basis, d, orders):
     """G with Q_m(x') = sum_i G[m,i] Q_i(x) after the window ages by d*tau.
 
-    ``d`` is one gap, a Python float, or a 1-d array of gaps, giving
-    shift_matrices' stack: the same operations run either way, so a gap
-    gives the same bits alone and in a stack. Laguerre forms g by its
+    ``d`` is one gap, a Python float, or a 1-d float64 array of gaps,
+    giving a stack of matrices: the same operations run either way, so a
+    gap gives the same bits alone and in a stack. Laguerre forms g by its
     recurrence. An exponential basis takes T_k(u), k < orders, from
     chebyshev_values at u = 2 exp(-d) - 1, in [-1, 1] for every d >= 0,
     and G = T C with the cached table C, one product per gap. Row m stops
@@ -153,8 +160,3 @@ def _table(basis, orders):
     C = C.reshape(orders, orders * orders)
     C.flags.writeable = False
     return C
-
-
-def shift_matrices(basis, d, orders):
-    """Stack of shift_matrix(basis, d[k], orders), one per gap."""
-    return shift_matrix(basis, np.asarray(d, dtype=np.float64), orders)

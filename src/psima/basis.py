@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 
 import numpy as np
@@ -96,7 +96,7 @@ def _integer(value, name: str) -> int:
 
     Ints, numpy integers and integral floats (3.0) pass; anything else,
     2.5, nan, inf and "3" among them, is refused. Every count and order
-    a public entry point takes is read through here.
+    a public entry point takes is read through here, most through _count.
     """
     if isinstance(value, (int, np.integer)) or (
             isinstance(value, float) and value.is_integer()):
@@ -126,18 +126,40 @@ def _reals(value, name: str) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
+def _count(value, name: str, lo: int, hi: int) -> int:
+    """``value`` as an int in lo..hi, or an error naming the argument
+    ``name``: InputError where it is no integer (_integer) or below
+    ``lo``, CapabilityError above ``hi``, the most the numerics or the
+    table at hand support. Every count, order and dimension with bounds
+    is read here, in these words."""
+    value = _integer(value, name)
+    if value < lo:
+        raise InputError(f"{name} must be >= {lo}, got {value}")
+    if value > hi:
+        raise CapabilityError(f"{name} must be <= {hi}, got {value}")
+    return value
+
+
 def _check_order_count(basis: BasisId, count, name: str) -> int:
     # count = number of polynomials requested, returned as an int; moment
     # vectors may need up to order 2*(n-1), hence the factor of two over
     # the model bound.
-    count = _integer(count, name)
-    if count < 1:
-        raise InputError("need at least one polynomial order")
-    limit = 2 * _order_bound(basis) + 1
-    if count > limit:
-        raise CapabilityError(
-            f"{basis.value}: {count} orders requested, stable limit is {limit}")
-    return count
+    return _count(count, name, 1, 2 * _order_bound(basis) + 1)
+
+
+def _cache(build):
+    """``build`` behind an unbounded cache. An unhashable argument misses
+    the cache and reaches the build, which refuses it by name, where the
+    cache alone would raise a bare TypeError."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def call(*args, **kwargs):
+        try:
+            return cached(*args, **kwargs)
+        except TypeError:  # an unhashable argument
+            return build(*args, **kwargs)
+    return call
 
 
 def evaluate_all(basis: BasisId, n: int, x):
@@ -209,7 +231,7 @@ def _orders_column(n: int, ndim: int) -> np.ndarray:
     return k
 
 
-@lru_cache(maxsize=None)
+@_cache
 def legendre_in_chebyshev(n: int) -> np.ndarray:
     """c with P_m = sum_k c[m, k] T_k for m, k < n, lower triangular.
 
@@ -222,11 +244,10 @@ def legendre_in_chebyshev(n: int) -> np.ndarray:
     and 0 otherwise. Each entry is formed as an exact rational and rounded
     once, so row 0 is exactly e_0, every entry is nonnegative and each row
     sums to 1 (P_m(1) = T_k(1) = 1) up to one rounding per entry. The
-    affine shift to [0, 1] leaves the coefficients unchanged.
+    affine shift to [0, 1] leaves the coefficients unchanged. ``n`` runs
+    up to 149, the most orders a Legendre moment vector holds.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise InputError("need at least one polynomial order")
+    n = _check_order_count(BasisId.SHIFTED_LEGENDRE, n, "n")
     c = np.zeros((n, n))
     for m in range(n):
         for k in range(m % 2, m + 1, 2):
@@ -285,10 +306,7 @@ def _laguerre_row(j: int, k: int) -> np.ndarray:
 def linearization(basis: BasisId, j: int, k: int) -> np.ndarray:
     """Coefficients c_m^{jk}, m = 0..j+k, of Q_j*Q_k in the same family."""
     bound = _order_bound(basis)
-    j, k = _integer(j, "j"), _integer(k, "k")
-    if j < 0 or k < 0 or j > bound or k > bound:
-        raise CapabilityError(
-            f"{basis.value}: linearization order ({j},{k}) outside 0..{bound}")
+    j, k = _count(j, "j", 0, bound), _count(k, "k", 0, bound)
     if basis is BasisId.CHEBYSHEV:
         return _chebyshev_row(j, k)
     if basis is BasisId.SHIFTED_LEGENDRE:
@@ -318,13 +336,7 @@ class LinearizationTable:
         except TypeError:
             F = None
         if F is None:
-            n = _integer(n, "n")
-            if n < 1:
-                raise InputError("matrix dimension must be >= 1")
-            if n - 1 > self.n_max:
-                raise CapabilityError(
-                    f"matrix dimension {n} needs table n_max >= {n - 1}, "
-                    f"have {self.n_max}")
+            n = _count(n, "n", 1, self.n_max + 1)
             need = 2 * n - 1
             F = np.ascontiguousarray(
                 self.coeffs[:n, :n, :need].reshape(n * n, need).T)
@@ -333,21 +345,10 @@ class LinearizationTable:
         return F
 
 
+@_cache
 def linearization_table(basis: BasisId, n_max: int) -> LinearizationTable:
     """Every c_m^{jk}, j, k <= n_max, built once per basis and n_max."""
-    try:
-        return _linearization_table(basis, n_max)
-    except TypeError:  # an unhashable argument misses; the build refuses it
-        return _linearization_table.__wrapped__(basis, n_max)
-
-
-@lru_cache(maxsize=None)
-def _linearization_table(basis: BasisId, n_max: int) -> LinearizationTable:
-    bound = _order_bound(basis)
-    n_max = _integer(n_max, "n_max")
-    if not 0 <= n_max <= bound:
-        raise CapabilityError(
-            f"{basis.value}: table order {n_max} outside 0..{bound}")
+    n_max = _count(n_max, "n_max", 0, _order_bound(basis))
     size = n_max + 1
     coeffs = np.zeros((size, size, 2 * n_max + 1))
     for j in range(size):
@@ -355,10 +356,6 @@ def _linearization_table(basis: BasisId, n_max: int) -> LinearizationTable:
             coeffs[j, k, :j + k + 1] = coeffs[k, j, :j + k + 1] = (
                 linearization(basis, j, k))
     return LinearizationTable(basis=basis, n_max=n_max, coeffs=coeffs)
-
-
-# the build without the cache, as lru_cache exposes it
-linearization_table.__wrapped__ = _linearization_table.__wrapped__
 
 
 def matrix_from_moments(moments, n: int, table: LinearizationTable) -> np.ndarray:
@@ -394,7 +391,7 @@ def matrix_from_moments(moments, n: int, table: LinearizationTable) -> np.ndarra
     return out.reshape(values.shape[:-1] + (n, n))
 
 
-@lru_cache(maxsize=None)
+@_cache
 def continuum_gram(basis: BasisId, n: int) -> np.ndarray:
     """Time-measure Gram matrix of an ideal infinitely deep window, per tau.
 
@@ -405,11 +402,7 @@ def continuum_gram(basis: BasisId, n: int) -> np.ndarray:
     compares quadratic forms on one polynomial subspace), which is what
     makes it usable as a basis-independent resolution judge.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise InputError("matrix dimension must be >= 1")
-    if n - 1 > _order_bound(basis):
-        raise CapabilityError(f"order {n - 1} beyond {basis.value} bound")
+    n = _count(n, "n", 1, _order_bound(basis) + 1)
     if basis is BasisId.LAGUERRE:
         out = np.eye(n)
     elif basis is BasisId.SHIFTED_LEGENDRE:

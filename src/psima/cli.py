@@ -417,7 +417,8 @@ def _check_probe_certificate() -> None:
     n = 12
     for basis in BasisId:
         engine = MomentEngine(basis, n, 256.0)
-        rows = engine.advance_steps(t, t, p, dV, 0, np.arange(1, len(t) + 1))
+        rows = engine._advance_block(t, t, p, dV, 0,
+                                     np.arange(1, len(t) + 1))
         B = matrix_from_moments(rows[:, 0], n,
                                 linearization_table(basis, n - 1))
         ruled = 0

@@ -30,11 +30,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ._kernels import pruned
 from .basis import (BasisId, _real, _reals, linearization_table,
                     matrix_from_moments)
 from .errors import DegenerateStateError, InputError, NoVolumeError
 from .gev import WaveFunction, _quotient, solve_stack
-from .measure import PRUNE_HORIZON, MomentEngine, tick_arrays
+from .measure import MomentEngine, tick_arrays
 
 __all__ = [
     "IndicatorSample",
@@ -249,10 +250,12 @@ def run_blocks(ticks, basis: BasisId, n: int, tau: float,
     the blocks before it have been yielded.
 
     The tape runs in blocks of _BLOCK samples: the engine steps through a
-    block's sample times (MomentEngine.advance_steps), the block's pencils
-    are solved together (_solve), and each sample is formed by _reading,
-    the two steps evaluate_at takes for its one snapshot. Only the engine
-    and the tick columns are kept from one block to the next.
+    block's sample times (MomentEngine._advance_block), the block's
+    pencils are solved together (_solve), and each sample is formed by
+    _reading, the two steps evaluate_at takes for its one snapshot. Only
+    the engine and the tick columns are kept from one block to the next.
+    The ticks are checked once, by tick_arrays, before the first block;
+    the block stepper checks them no more.
     """
     t, p, dV = tick_arrays(ticks)
     if len(t) == 0:
@@ -278,11 +281,14 @@ def _blocks(engine: MomentEngine, t, p, dV, grid: float | None,
             count: int) -> Iterator[tuple[list[IndicatorSample], int]]:
     """run_blocks' loop over at most ``count`` samples.
 
-    Float errors are raised block by block, never across a yield: numpy's
-    error state belongs to the running context, and a suspended generator
-    would leave it set in its caller's.
+    Each block's times and ends are what _advance_block takes on trust:
+    the times are ticks t[b0:b1] or t0 + k*grid <= t[-1], nondecreasing
+    either way, and the ends come from arange or searchsorted(side=
+    "right"), so no tick lies after its step's time. Float errors are
+    raised block by block, never across a yield: numpy's error state
+    belongs to the running context, and a suspended generator would
+    leave it set in its caller's.
     """
-    horizon = PRUNE_HORIZON * engine.tau
     # the span of sample times an overflow is reported in; each block
     # narrows it to its own
     first, last = float(t[0]), float(t[-1])
@@ -302,10 +308,11 @@ def _blocks(engine: MomentEngine, t, p, dV, grid: float | None,
                         return
                     ends = np.searchsorted(t, times, side="right")
                 first, last = float(times[0]), float(times[-1])
-                rows = engine.advance_steps(times, t, p, dV, i0, ends)
+                rows = engine._advance_block(times, t, p, dV, i0, ends)
                 last_tick = ends - 1
                 # the window is empty once its last tick is past the horizon
-                inside = np.flatnonzero(~(times - t[last_tick] > horizon))
+                inside = np.flatnonzero(~pruned(times - t[last_tick],
+                                                engine.tau))
                 keep = inside[rows[inside, 1, 0] > 0.0]
                 # rows[keep] is bound to no name: a copy held across the
                 # yield doubled a whole-tape run's page faults

@@ -28,8 +28,11 @@ Two ways to obtain moments at a timestamp:
 
 Every engine step runs one body (``MomentEngine._step``). A tick absorbed
 at its own arrival time has age 0 and Q_m = 1 in every family, so it adds
-one constant per row and needs no polynomial evaluation. ``advance_steps``
-builds the shift matrices of many steps in one vectorized call.
+one constant per row and needs no polynomial evaluation. ``advance_to``
+is the engine's one public step and checks what it is given; run_blocks
+steps whole blocks through the private ``_advance_block``, which builds
+the shift matrices of all a block's steps in one vectorized call and
+checks nothing run_blocks has already checked.
 
 The tick rules are written once, in ``_tick_fault``: the CSV reader and
 the engine's one-tick step call it per tick, and ``_check_ticks`` finds
@@ -47,10 +50,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._kernels import PRUNE_HORIZON
-from .basis import (BasisId, _check_order_count, _integer, _order_bound,
-                    _real, _reals, max_model_order)
-from .errors import CapabilityError, EmptyWindowError, InputError
+from ._kernels import PRUNE_HORIZON, pruned
+from .basis import (BasisId, _check_order_count, _count, _integer,
+                    _order_bound, _real, _reals, max_model_order)
+from .errors import EmptyWindowError, InputError
 
 __all__ = [
     "Tick",
@@ -134,7 +137,7 @@ _SIGN = "tick prices must be positive and shares nonnegative"
 _OVERFLOW = "price * price * shares of a tick must be finite"
 _UNSORTED = "tick times must be nondecreasing"
 _STEP = "the time step from one tick to the next must be finite"
-_SAMPLE_TIME = "sample times (t_new, times) must be finite"
+_SAMPLE_TIME = "sample time t_new must be finite"
 
 
 def _overflow_at(ts: float) -> str:
@@ -275,20 +278,15 @@ def resample_full(ticks, t_now: float, tau: float, basis: BasisId,
 class MomentEngine:
     """Streaming accumulator for all five moment rows of one (basis, n, tau).
 
-    Feed it tick arrays in time order via advance_to(), or many sample
-    times at once via advance_steps(); read moments() or hand the whole
-    engine to indicators.evaluate_at. State advances are O(orders^2) per
-    step plus O(orders) per tick, independent of history length.
+    Feed it tick arrays in time order via advance_to(); read moments() or
+    hand the whole engine to indicators.evaluate_at. run_blocks and
+    run_over step a whole tape through one. State advances are
+    O(orders^2) per step plus O(orders) per tick, independent of history
+    length.
     """
 
     def __init__(self, basis: BasisId, n: int, tau: float):
-        n = _integer(n, "model dimension n")
-        if n < 1:
-            raise InputError("model dimension n must be >= 1")
-        if n > max_model_order(basis):
-            raise CapabilityError(
-                f"{basis.value}: n={n} exceeds the stable model order "
-                f"{max_model_order(basis)}")
+        n = _count(n, "n", 1, max_model_order(basis))
         self.tau = _check_tau(tau)
         self.basis = basis
         self.n = n
@@ -311,8 +309,9 @@ class MomentEngine:
                    i0: int = 0, i1: int = 0) -> None:
         """Move the reference time to t_new, absorbing ticks i0..i1-1.
 
-        The checks of advance_steps on Python scalars, so a live caller
-        pays for one step only; the state bits equal advance_steps'.
+        Every argument is checked, on Python scalars where it can be, so a
+        live caller pays for one step only; a refused step changes
+        nothing. The state bits equal those of a block step (run_blocks).
         """
         ts = _real(t_new, "t_new")
         a, b = _integer(i0, "i0"), _integer(i1, "i1")
@@ -336,7 +335,7 @@ class MomentEngine:
                 ta = t[b - 1]
             if ta > ts:
                 raise InputError("cannot absorb ticks after t_new")
-        if gap > PRUNE_HORIZON * self.tau:
+        if pruned(gap, self.tau):
             G, fade = None, 0.0
         else:
             G = _kernels.shift_matrix(self.basis, gap / self.tau,
@@ -345,46 +344,26 @@ class MomentEngine:
         with np.errstate(over="ignore", invalid="ignore"):
             self._step(ts, gap, fade, G, t, p, dV, a, b)
 
-    def advance_steps(self, times, t, p, dV, i0: int, ends) -> np.ndarray:
+    def _advance_block(self, times, t, p, dV, i0: int, ends) -> np.ndarray:
         """Step through sample times; the moment rows at each, (K, 5, orders).
 
         Step k moves the reference time to times[k] and absorbs the ticks
         before index ends[k] that no earlier step absorbed, starting from
-        tick i0. The whole block is checked first, and the shift matrices
-        of all its steps come from one vectorized build; then _step
-        advances the state step by step. The rows are checked for
-        overflow once, after the last step, and a refused block leaves the
-        engine as it was, naming the first step whose rows overflow.
+        tick i0. Nothing is checked but overflow: the caller (run_blocks)
+        hands checked tick columns (tick_arrays), nonempty float64 times,
+        nondecreasing from t_now, and intp ends, nondecreasing from i0,
+        with no tick after its step's time. The shift matrices of all the
+        steps come from one vectorized build; then _step advances the
+        state step by step. The rows are checked for overflow once, after
+        the last step, and a refused block leaves the engine as it was,
+        naming the first step whose rows overflow.
         """
-        i0 = _integer(i0, "i0")
-        times, ends = np.asarray(times), np.asarray(ends)
-        if not (times.ndim == ends.ndim == 1 and len(times) == len(ends)
-                and times.dtype.kind in "iuf" and ends.dtype.kind in "iuf"
-                and np.isfinite(ends).all() and (ends % 1 == 0).all()):
-            raise InputError("sample times must be real numbers and tick "
-                             "ends integers, 1-d and one end per time")
-        times, ends = times.astype(np.float64), ends.astype(np.intp)
-        if not len(times):
-            return np.empty((0, 5, self.orders))
-        if not np.isfinite(times).all():
-            raise InputError(_SAMPLE_TIME)
         starts = np.concatenate(([i0], ends[:-1]))
         gaps = np.diff(times, prepend=times[0] if self.t_now is None
                        else self.t_now)
-        if (gaps < 0).any():
-            raise InputError("engine time must be nondecreasing")
-        if (ends < starts).any():
-            raise InputError("tick ranges must not run backwards")
-        lo, hi = i0, int(ends[-1])
-        if hi > lo:
-            _check_range(t, p, dV, lo, hi)
-            _check_ticks(t[lo:hi], p[lo:hi], dV[lo:hi], self.last_t)
-            busy = ends > starts
-            if (t[ends[busy] - 1] > times[busy]).any():
-                raise InputError("cannot absorb ticks after t_new")
-        far = gaps > PRUNE_HORIZON * self.tau
-        near = iter(_kernels.shift_matrices(self.basis, gaps[~far] / self.tau,
-                                            self.orders))
+        far = pruned(gaps, self.tau)
+        near = iter(_kernels.shift_matrix(self.basis, gaps[~far] / self.tau,
+                                          self.orders))
         # a far step's decay is never used, and its gap / tau may overflow
         decay = np.exp(-np.where(far, 0.0, gaps) / self.tau)
         out = np.empty((len(times), 5, self.orders))
@@ -404,7 +383,7 @@ class MomentEngine:
 
     def _step(self, ts: float, gap: float, fade: float, G, t, p, dV,
               a: int, b: int, check: bool = True) -> None:
-        """The step body of advance_to and advance_steps, after their checks.
+        """The step body of advance_to and _advance_block.
 
         Shifts the state by ``gap`` to time ts with the window decay
         ``fade`` and shift matrix G, or clears it where G is None (a step
@@ -445,7 +424,7 @@ class MomentEngine:
 
     def window_empty(self) -> bool:
         return (self.last_t is None
-                or self.t_now - self.last_t > PRUNE_HORIZON * self.tau)
+                or pruned(self.t_now - self.last_t, self.tau))
 
     def check_window(self) -> None:
         if self.window_empty():

@@ -242,6 +242,35 @@ def test_counts_must_be_integers(call, name):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("call,name,lo,hi", [
+    (lambda c: evaluate_all(BasisId.CHEBYSHEV, c, 0.5), "n", 1, 149),
+    # once unbounded: n = 600 took seconds, and no caller needs over 149
+    (legendre_in_chebyshev, "n", 1, 149),
+    (lambda c: linearization(BasisId.LAGUERRE, c, 2), "j", 0, 24),
+    (lambda c: linearization(BasisId.LAGUERRE, 2, c), "k", 0, 24),
+    (lambda c: linearization_table(BasisId.LAGUERRE, 3).flat(c), "n", 1, 4),
+    (lambda c: linearization_table(BasisId.LAGUERRE, c), "n_max", 0, 24),
+    (lambda c: continuum_gram(BasisId.CHEBYSHEV, c), "n", 1, 75),
+    (lambda c: MomentEngine(BasisId.LAGUERRE, c, 8.0), "n", 1, 25),
+], ids=["evaluate_all", "legendre_in_chebyshev", "linearization_j",
+        "linearization_k", "flat", "linearization_table", "continuum_gram",
+        "MomentEngine"])
+def test_every_bounded_count_is_read_by_one_rule(call, name, lo, hi):
+    # basis._count: InputError below the least count, CapabilityError
+    # above the most, in one wording, and an unhashable count is refused
+    # by name where a cache once raised a bare TypeError
+    call(lo)
+    call(hi)
+    with pytest.raises(InputError, match=f"^{name} must be >= {lo}, "
+                                         f"got {lo - 1}$"):
+        call(lo - 1)
+    with pytest.raises(CapabilityError, match=f"^{name} must be <= {hi}, "
+                                              f"got {hi + 1}$"):
+        call(hi + 1)
+    with pytest.raises(InputError, match=f"^{name} must be an integer"):
+        call([3])
+
+
 @pytest.mark.parametrize("basis", ALL_BASES)
 def test_linearization_against_series_multiplication(basis):
     top = 24 if basis is BasisId.LAGUERRE else 40
@@ -363,10 +392,11 @@ def test_matrix_from_moments_validation():
 
 def test_flat_checks_the_dimension_on_a_miss():
     table = linearization_table(BasisId.LAGUERRE, 3)
-    with pytest.raises(CapabilityError, match="have 3$"):
+    # one wording for every bounded count (basis._count)
+    with pytest.raises(CapabilityError, match="^n must be <= 4, got 6$"):
         table.flat(6)
     for bad in (0, -1):
-        with pytest.raises(InputError, match="must be >= 1"):
+        with pytest.raises(InputError, match=f"^n must be >= 1, got {bad}$"):
             table.flat(bad)
     # unhashable values miss the cache and are read as any other miss
     for bad in (2.5, np.array(4), [4]):

@@ -525,6 +525,3 @@ def test_the_cli_and_the_library_refuse_a_bad_tick_alike(tmp_path, name):
     at = t[line - 1] if t[line - 1] >= eng.t_now else eng.t_now
     with pytest.raises(InputError, match=exact):
         eng.advance_to(at, t, p, dV, line - 1, line)
-    with pytest.raises(InputError, match=exact):
-        MomentEngine(BasisId.CHEBYSHEV, 2, 10.0).advance_steps(
-            [0.0], t, p, dV, 0, [len(t)])

@@ -225,7 +225,7 @@ def test_dimension_search_start_changes_nothing(benchmark_tapes, tape, basis):
     n = 12
     t, p, dV = benchmark_tapes[tape]
     eng = MomentEngine(basis, n, 256.0)
-    rows = eng.advance_steps(t, t, p, dV, 0, np.arange(1, len(t) + 1))
+    rows = eng._advance_block(t, t, p, dV, 0, np.arange(1, len(t) + 1))
     ops = matrix_from_moments(rows[:, :4], n,
                               linearization_table(basis, n - 1))
     A, B, T = ops[:, 1], ops[:, 0], ops[:, 3]
@@ -262,7 +262,7 @@ def _tape_ops(tape, basis, n=12):
     # the time, volume, price and age operators at every tick of a tape
     t, p, dV = tape
     eng = MomentEngine(basis, n, 256.0)
-    rows = eng.advance_steps(t, t, p, dV, 0, np.arange(1, len(t) + 1))
+    rows = eng._advance_block(t, t, p, dV, 0, np.arange(1, len(t) + 1))
     return matrix_from_moments(rows[:, :4], n,
                                linearization_table(basis, n - 1))
 

@@ -12,6 +12,7 @@ from psima import (BasisId, DegenerateStateError, EmptyWindowError,
                    WaveFunction, ema_price, age_tau, evaluate_at, f_psi, flow,
                    gram, parse_csv, resample_full, run_blocks,
                    run_over, solve_pencil, tick_arrays, weighted)
+from psima import indicators, measure
 from psima.measure import PRUNE_HORIZON
 from psima.synth import steady
 
@@ -514,3 +515,22 @@ def test_run_blocks_yields_the_blocks_before_an_overflowing_one(basis):
     with pytest.raises(InputError,
                        match=r"243\.04002175408917 to 1e\+300 overflow"):
         next(blocks)
+
+
+@pytest.mark.parametrize("grid", [None, 0.75])
+def test_run_blocks_checks_the_ticks_once(monkeypatch, grid):
+    # tick_arrays checks the whole tape before the first block; the block
+    # stepper takes the checked tape on trust, so blocks add no pass
+    checked = []
+    check = measure._check_ticks
+
+    def counted(t, *rest):
+        checked.append(len(t))
+        return check(t, *rest)
+
+    monkeypatch.setattr(measure, "_check_ticks", counted)
+    monkeypatch.setattr(indicators, "_BLOCK", 4)
+    ticks = make_stream(71, 10)
+    blocks = list(run_blocks(ticks, BasisId.CHEBYSHEV, 3, 16.0, grid))
+    assert len(blocks) >= 3
+    assert checked == [10]

@@ -10,8 +10,7 @@ from psima import (BasisId, CapabilityError, EmptyWindowError, InputError,
                    MeasureKind, MomentEngine, Tick, omega, resample_full,
                    run_over, tick_arrays, x_of_t)
 from psima import _kernels
-from psima._kernels import (_table, accumulate_block, shift_matrices,
-                            shift_matrix)
+from psima._kernels import _table, accumulate_block, shift_matrix
 from psima.basis import evaluate_all, max_model_order
 from psima.measure import _CHECK_SLICE, _ROW, PRUNE_HORIZON
 from psima.synth import steady
@@ -111,12 +110,9 @@ def test_a_non_finite_sample_time_is_refused_by_its_name(t_now):
     # once refused with the bad-tick words "tick times, prices and shares
     # must be finite", on an engine that had absorbed no tick
     eng = MomentEngine(BasisId.CHEBYSHEV, 2, 10.0)
-    message = r"^sample times \(t_new, times\) must be finite$"
+    message = r"^sample time t_new must be finite$"
     with pytest.raises(InputError, match=message):
         eng.advance_to(t_now)
-    with pytest.raises(InputError, match=message):
-        eng.advance_steps([t_now], np.empty(0), np.empty(0), np.empty(0),
-                          0, [0])
     with pytest.raises(InputError, match=rf"^t_now must be finite, got "
                                          rf"{t_now!r}$"):
         resample_full([Tick(1.0, 100.0, 5.0)], t_now, 50.0,
@@ -251,7 +247,7 @@ def test_engine_after_a_quiet_spell_past_the_horizon(basis):
     t, p, dV = tick_arrays(ticks)
     for n in (1, 60, 61, 90, 120):   # before, at and after the spell
         eng = MomentEngine(basis, 6, tau)
-        eng.advance_steps(t[:n], t, p, dV, 0, np.arange(1, n + 1))
+        eng._advance_block(t[:n], t, p, dV, 0, np.arange(1, n + 1))
         assert np.all(np.isfinite(eng.raw_rows()))
         for measure in ALL_MEASURES:
             ref = resample_full(ticks, t[n - 1], tau, basis, 11,
@@ -317,12 +313,12 @@ def test_moment_decay_is_monotone_without_new_mass():
 @pytest.mark.parametrize("basis", ALL_BASES)
 def test_block_shift_builder_is_the_scalar_builder_bit_for_bit(basis):
     # gaps in tau units: none, tiny, about one tau, past the prune horizon,
-    # then a stack of 256 as run_over builds: a product taken over the
+    # then a stack of 256 as run_blocks builds: a product taken over the
     # whole stack at once would round each gap by the stack's size
     d = np.array([0.0, 1e-9, 0.73, 1.0, 1.37, 36.9, 41.5])
     assert d[-1] > PRUNE_HORIZON
     d = np.concatenate((d, np.random.default_rng(8).exponential(0.01, 249)))
-    block = shift_matrices(basis, d, 23)
+    block = shift_matrix(basis, d, 23)
     assert block.shape == (256, 23, 23)
     for k, dk in enumerate(d):
         ref = shift_matrix(basis, float(dk), 23)
@@ -331,14 +327,14 @@ def test_block_shift_builder_is_the_scalar_builder_bit_for_bit(basis):
         assert np.array_equal(np.signbit(block[k]), np.signbit(ref))
     # and so does a stack of every size up to 17, and a larger one
     for a, b in [(7, 7 + k) for k in range(1, 18)] + [(0, 7), (100, 229)]:
-        assert np.array_equal(shift_matrices(basis, d[a:b], 23), block[a:b])
+        assert np.array_equal(shift_matrix(basis, d[a:b], 23), block[a:b])
     # tape-like gaps, one and two ticks a second at tau 256, in the blocks
     # of 256 that run_over builds
     rng = np.random.default_rng(9)
     d = np.concatenate((rng.exponential(1 / 256, 5120),
                         rng.exponential(1 / 512, 5120)))
     for a in range(0, len(d), 256):
-        block = shift_matrices(basis, d[a:a + 256], 23)
+        block = shift_matrix(basis, d[a:a + 256], 23)
         for k, dk in enumerate(d[a:a + 256].tolist()):
             assert block[k].tobytes() == shift_matrix(basis, dk, 23).tobytes()
 
@@ -383,7 +379,7 @@ def test_exponential_shift_structure_is_exact(basis, orders):
     d = np.concatenate(([0.0, PRUNE_HORIZON],
                         np.random.default_rng(5).uniform(0.0, PRUNE_HORIZON,
                                                          30)))
-    G = shift_matrices(basis, d, orders)
+    G = shift_matrix(basis, d, orders)
     assert np.all(np.isfinite(G))
     assert np.all(G[:, 0] == np.eye(orders)[0])
     assert not np.triu(G, 1).any()
@@ -459,36 +455,55 @@ def _step_schedule(tau):
     return t, p, dV, steps
 
 
+def _one_by_one(basis, tau, t, p, dV, times, ends):
+    """Two engines over one schedule: one stepped as a single block, one
+    by advance_to, step by step; fails where their rows differ in a bit."""
+    block = MomentEngine(basis, 6, tau)
+    rows = block._advance_block(times, t, p, dV, 0, ends)
+    one = MomentEngine(basis, 6, tau)
+    prev = 0
+    for k, (ts, b) in enumerate(zip(times.tolist(), ends.tolist())):
+        one.advance_to(ts, t, p, dV, prev, b)
+        assert one.raw_rows().tobytes() == rows[k].tobytes(), k
+        prev = b
+    assert (one.t_now, one.last_t, one.p_last, one.tick_count) == (
+        block.t_now, block.last_t, block.p_last, block.tick_count)
+    return rows
+
+
 @pytest.mark.parametrize("basis", ALL_BASES)
 def test_one_step_advance_is_the_block_step_bit_for_bit(basis):
     tau = 4.0
     t, p, dV, steps = _step_schedule(tau)
     times = np.array([ts for ts, _ in steps])
     ends = np.array([b for _, b in steps])
-    block = MomentEngine(basis, 6, tau)
-    rows = block.advance_steps(times, t, p, dV, 0, ends)
-    one = MomentEngine(basis, 6, tau)
+    rows = _one_by_one(basis, tau, t, p, dV, times, ends)
+    # the schedule holds every kind of step
     seen = {"arrival": 0, "accumulate": 0, "far": 0}
-    prev = 0
-    for k, (ts, b) in enumerate(steps):
-        gap = ts - one.t_now if one.t_now is not None else 0.0
-        seen["far"] += gap > PRUNE_HORIZON * tau
+    prev_t, prev = times[0], 0
+    for ts, b in steps:
+        seen["far"] += ts - prev_t > PRUNE_HORIZON * tau
         seen["arrival"] += b - prev == 1 and t[prev] == ts
         seen["accumulate"] += b - prev > 1 or (b - prev == 1 and t[prev] < ts)
-        one.advance_to(ts, t, p, dV, prev, b)
-        assert one.raw_rows().tobytes() == rows[k].tobytes(), k
-        prev = b
+        prev_t, prev = ts, b
     assert all(seen.values()), seen
-    assert one.raw_rows().tobytes() == block.raw_rows().tobytes()
-    assert (one.t_now, one.last_t, one.p_last, one.tick_count) == (
-        block.t_now, block.last_t, block.p_last, block.tick_count)
-    # a block of one step takes the one-step path and returns its rows
+    # blocks of one step each give the same rows
     again = MomentEngine(basis, 6, tau)
-    for k, (ts, b) in enumerate(steps):
-        got = again.advance_steps([ts], t, p, dV, ends[k - 1] if k else 0,
-                                  [b])
+    for k in range(len(steps)):
+        got = again._advance_block(times[k:k + 1], t, p, dV,
+                                   int(ends[k - 1]) if k else 0,
+                                   ends[k:k + 1])
         assert got.shape == (1, 5, 11)
         assert got.tobytes() == rows[k].tobytes()
+    # and so do the per-tick and grid blocks that run_blocks builds
+    t0 = t[0]
+    for grid in (None, 0.75, 3.0):
+        if grid is None:
+            times, ends = t, np.arange(1, len(t) + 1)
+        else:
+            times = t0 + np.arange(int((t[-1] - t0) // grid) + 1) * grid
+            ends = np.searchsorted(t, times, side="right")
+        _one_by_one(basis, tau, t, p, dV, times, ends)
 
 
 def _bad_steps(t):
@@ -530,6 +545,9 @@ def _bad_steps(t):
 
 @pytest.mark.parametrize("name", [c[0] for c in _bad_steps(np.zeros(10))])
 def test_one_step_advance_refuses_what_the_block_refuses(name):
+    # the block stepper takes run_blocks' checked arguments on trust;
+    # advance_to, the one public step, refuses each bad step itself and
+    # leaves the engine as it was
     base = tick_arrays(make_stream(67, 10))
     _, i0, ts, b, patch = next(c for c in _bad_steps(base[0]) if c[0] == name)
     cols = dict(zip("t p dV".split(), (c.copy() for c in base)))
@@ -543,24 +561,15 @@ def test_one_step_advance_refuses_what_the_block_refuses(name):
             else:
                 cols[column][k] = value
     t, p, dV = cols["t"], cols["p"], cols["dV"]
-    messages = []
-    # advance_to; a block of one step; a block of two
-    for steps in (None, [ts], [base[0][2], ts]):
-        eng = MomentEngine(BasisId.CHEBYSHEV, 4, 16.0)
-        eng.advance_to(base[0][2], *base, 0, 3)
-        before = eng.raw_rows().copy()
-        with pytest.raises(InputError) as err:
-            if steps is None:
-                eng.advance_to(ts, t, p, dV, i0, b)
-            else:
-                eng.advance_steps(steps, t, p, dV, i0,
-                                  [i0] * (len(steps) - 1) + [b])
-        messages.append(str(err.value))
-        assert np.array_equal(eng.raw_rows(), before), name
-        assert eng.t_now == base[0][2] and eng.tick_count == 3, name
-    assert len(set(messages)) == 1, (name, messages)
+    eng = MomentEngine(BasisId.CHEBYSHEV, 4, 16.0)
+    eng.advance_to(base[0][2], *base, 0, 3)
+    before = eng.raw_rows().copy()
+    with pytest.raises(InputError) as err:
+        eng.advance_to(ts, t, p, dV, i0, b)
+    assert np.array_equal(eng.raw_rows(), before), name
+    assert eng.t_now == base[0][2] and eng.tick_count == 3, name
     if "order" in name or "absorbed" in name:
-        assert messages[0] == "tick times must be nondecreasing"
+        assert str(err.value) == "tick times must be nondecreasing"
 
 
 @pytest.mark.parametrize("ticks", [
@@ -656,41 +665,6 @@ def test_tick_checks_refuse_a_bad_tick_past_a_slice_boundary(bad):
                                 dV[:_CHECK_SLICE - 1]))[0]) == _CHECK_SLICE - 1
 
 
-@pytest.mark.parametrize("name", ["an end between ticks", "a nan end",
-                                  "an end short", "an end too many",
-                                  "2-d times", "times as text"])
-def test_a_block_refuses_malformed_times_and_ends(name):
-    t, p, dV = tick_arrays(make_stream(67, 10))
-    times, ends = [t[3], t[4], t[5]], [4, 5, 6]
-    if name == "an end between ticks":
-        ends = [4, 5.5, 6]
-    elif name == "a nan end":
-        ends = [4, np.nan, 6]
-    elif name == "an end short":
-        ends = [4, 5]
-    elif name == "an end too many":
-        ends = [4, 5, 6, 7]
-    elif name == "2-d times":
-        times, ends = [times], [ends]
-    else:
-        times = [str(ts) for ts in times]
-    eng = MomentEngine(BasisId.CHEBYSHEV, 4, 16.0)
-    eng.advance_to(t[2], t, p, dV, 0, 3)
-    before = eng.raw_rows().copy()
-    with pytest.raises(InputError, match="tick ends|sample times"):
-        eng.advance_steps(times, t, p, dV, 3, ends)
-    assert eng.raw_rows().tobytes() == before.tobytes()
-    assert eng.t_now == t[2] and eng.tick_count == 3
-
-
-def test_a_block_reads_integral_float_ends_as_indices():
-    t, p, dV = tick_arrays(make_stream(67, 10))
-    rows = [MomentEngine(BasisId.CHEBYSHEV, 4, 16.0).advance_steps(
-        t[3:6], t, p, dV, i0, ends) for i0, ends in
-        ((0, [4, 5, 6]), (0.0, np.array([4.0, 5.0, 6.0])))]
-    assert rows[0].tobytes() == rows[1].tobytes()
-
-
 @pytest.mark.parametrize("bad", ["16", None, 16 + 0j, np.array(16.0),
                                  np.array([16.0])])
 def test_real_arguments_refuse_what_is_not_a_real_number(bad):
@@ -738,7 +712,7 @@ def test_a_tick_at_the_prune_horizon_is_inside_the_window(basis):
     live = MomentEngine(basis, 2, tau)
     live.advance_to(t_now, t, p, dV, 0, 2)
     block = MomentEngine(basis, 2, tau)
-    block.advance_steps([t_now], t, p, dV, 0, [2])
+    block._advance_block(np.array([t_now]), t, p, dV, 0, np.array([2]))
     full = resample_full((t, p, dV), t_now, tau, basis, 3,
                          MeasureKind.VOLUME_DV)
     for eng in (live, block):
@@ -775,7 +749,7 @@ def test_a_step_whose_moments_overflow_is_refused(basis):
     # a refused block leaves the engine as it was before the block
     block = MomentEngine(basis, 4, 1e300)
     with pytest.raises(InputError, match=r"sample time 1e\+300 overflow"):
-        block.advance_steps([0.0, 1e300], t, p, dV, 0, [1, 2])
+        block._advance_block(t, t, p, dV, 0, np.array([1, 2]))
     assert not block.raw_rows().any()
     assert (block.t_now, block.last_t, block.p_last, block.tick_count) == (
         None, None, None, 0)
@@ -784,10 +758,11 @@ def test_a_step_whose_moments_overflow_is_refused(basis):
 @pytest.mark.parametrize("basis", EXP_BASES)
 def test_exponential_engine_drift_is_bounded_over_many_horizons(basis):
     # a tape over five prune horizons long, stepped tick by tick in
-    # advance_steps blocks: the shifted state never leaves the whole-tape
-    # sum by more than 1e-12 of a row's largest moment (under 1e-13 is
-    # seen, on the age row). Laguerre is left out: resample_full prunes
-    # its ticks too early to serve as the reference (see the test below).
+    # blocks, as run_blocks steps it: the shifted state never leaves the
+    # whole-tape sum by more than 1e-12 of a row's largest moment (under
+    # 1e-13 is seen, on the age row). Laguerre is left out: resample_full
+    # prunes its ticks too early to serve as the reference (see the test
+    # below).
     ticks = steady(2.0, 100.0, 100.0, 12000.0, 3)
     t, p, dV = tick_arrays(ticks)
     n, tau = 12, 64.0
@@ -797,8 +772,8 @@ def test_exponential_engine_drift_is_bounded_over_many_horizons(basis):
     block = 4096
     for a in range(0, len(t), block):
         b = min(a + block, len(t))
-        got = eng.advance_steps(t[a:b], t, p, dV, a,
-                                np.arange(a + 1, b + 1))[-1]
+        got = eng._advance_block(t[a:b], t, p, dV, a,
+                                 np.arange(a + 1, b + 1))[-1]
         ref = np.zeros((5, orders))
         for measure in ALL_MEASURES:
             ref[_ROW[measure]] = resample_full(ticks, t[b - 1], tau, basis,
@@ -822,7 +797,7 @@ def test_laguerre_engine_is_the_unpruned_sum_and_resample_drops_the_prune():
     n, tau = 12, 256.0
     orders = 2 * n - 1
     eng = MomentEngine(BasisId.LAGUERRE, n, tau)
-    eng.advance_steps(t, t, p, dV, 0, np.arange(1, len(t) + 1))
+    eng._advance_block(t, t, p, dV, 0, np.arange(1, len(t) + 1))
     # the float sum over every tick, with numpy's own Laguerre values
     age = t[-1] - t
     w = np.exp(-age / tau)
@@ -859,7 +834,7 @@ def test_a_block_names_its_first_overflowing_step(basis):
     block.advance_to(0.0, t, p, dV, 0, 1)
     rows = block.raw_rows().copy()
     with pytest.raises(InputError, match=r"sample time 1e\+300 overflow"):
-        block.advance_steps(t[1:], t, p, dV, 1, [2, 3])
+        block._advance_block(t[1:], t, p, dV, 1, np.array([2, 3]))
     assert block.raw_rows().tobytes() == rows.tobytes()
     assert (block.t_now, block.last_t, block.p_last, block.tick_count) == (
         0.0, 0.0, 1.0, 1)

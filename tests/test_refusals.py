@@ -19,6 +19,7 @@ import re
 import numpy as np
 import pytest
 
+import psima
 from psima import (BasisId, InputError, MeasureKind, MomentEngine,
                    PsimaError, Tick, age_tau, ema_price, evaluate_all,
                    evaluate_at, f_psi, flow, gram, linearization,
@@ -115,8 +116,6 @@ def _rows(tmp_path):
         (evaluate_at, dict(t_now=1.5, engine=_positioned()), {}, {}),
         (_positioned().advance_to, dict(t_new=2.0, **cols, i0=2, i1=3), {},
          {}),
-        (_positioned().advance_steps, dict(times=np.array([2.0]), **cols,
-                                           i0=2, ends=np.array([3])), {}, {}),
         (_positioned().moments, dict(measure=MeasureKind.VOLUME_DV),
          dict(measure={"enum"}), {}),
     ]
@@ -128,7 +127,19 @@ NAMES = ["x_of_t", "omega", "ema_price", "age_tau", "evaluate_all",
          "linearization", "linearization_table", "max_model_order",
          "resample_full", "tick_arrays", "run_over", "run_blocks",
          "uniform01", "MomentEngine", "evaluate_at", "advance_to",
-         "advance_steps", "moments"]
+         "moments"]
+
+
+def test_every_public_callable_has_a_row(tmp_path):
+    # the table is written by hand: every function the package exports,
+    # and every public engine method that takes arguments, has a row
+    want = {name for name in psima.__all__
+            if inspect.isfunction(getattr(psima, name))}
+    want |= {name for name, fn in vars(MomentEngine).items()
+             if inspect.isfunction(fn) and not name.startswith("_")
+             and len(inspect.signature(fn).parameters) > 1}
+    assert want <= set(NAMES), want - set(NAMES)
+    assert sorted(r[0].__name__ for r in _rows(tmp_path)) == sorted(NAMES)
 
 
 def _row(tmp_path, name):
